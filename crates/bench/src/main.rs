@@ -1,5 +1,5 @@
 //! `livelit-bench`: the manual benchmark harness behind EXPERIMENTS.md
-//! Part II (B1–B18).
+//! Part II (B1–B19).
 //!
 //! Each experiment times its workload over `--iters` iterations (median-of-N
 //! with a warmup iteration; no external benchmarking dependency) and the
@@ -366,10 +366,13 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
         }
     }
 
-    // B11 — deep-nested β-reduction: tree-copying substitution vs the
-    // term store's path-copying substitution with free-variable skipping.
+    // B11 — deep-nested β-reduction: the tree evaluator's tree-copying
+    // substitution vs the environment machine over the term store (the
+    // arm interns the input and converts the result back, as the
+    // pipeline's `eval_traced` does).
     if wants(config, "B11") {
-        use hazel::lang::eval::{Evaluator, StoreEvaluator, DEFAULT_FUEL};
+        use hazel::lang::eval::{Evaluator, DEFAULT_FUEL};
+        use hazel::lang::machine::MachineEvaluator;
         use hazel::lang::TermStore;
         for n in sizes(config, &[1usize, 4, 16, 64, 256]) {
             let chain = deep_redex_chain(n);
@@ -388,12 +391,12 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
             ));
             results.push(summarize(
                 "B11",
-                "subst/interned",
+                "subst/machine",
                 n.to_string(),
                 sample(config.iters, || {
                     let mut store = TermStore::new();
                     let t = store.intern_iexp(&chain);
-                    let r = StoreEvaluator::with_fuel(&mut store, DEFAULT_FUEL)
+                    let r = MachineEvaluator::with_fuel(&mut store, DEFAULT_FUEL)
                         .eval(t)
                         .expect("evaluates");
                     let result = store.to_iexp(r);
@@ -546,31 +549,29 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
         println!("B15  diagnostics/one_edit_counters     dirty {dirty} / reused {reused}");
     }
 
-    // B18 — the environment machine against both substitution evaluators
-    // on a deep-redex chain whose bodies bury the bound variable in a
-    // dead branch (see [`deep_guarded_chain`]): substitution-based
-    // evaluators must rewrite the payload at every β-step, while the
-    // machine binds the variable in the live environment and never decodes
-    // the untaken branch (closures carry environments; the frame stack
-    // replaces Rust recursion). The machine curve must undercut the store
-    // curve by ≥10× at size 256.
+    // B18 — the environment machine against the substitution-based tree
+    // evaluator on a deep-redex chain whose bodies bury the bound variable
+    // in a dead branch (see [`deep_guarded_chain`]): substitution must
+    // rewrite the payload at every β-step, while the machine binds the
+    // variable in the live environment and never decodes the untaken
+    // branch (closures carry environments; the frame stack replaces Rust
+    // recursion).
     if wants(config, "B18") {
-        use hazel::lang::eval::{Evaluator, StoreEvaluator, DEFAULT_FUEL};
+        use hazel::lang::eval::{Evaluator, DEFAULT_FUEL};
         use hazel::lang::machine::MachineEvaluator;
         use hazel::lang::TermStore;
         for n in sizes(config, &[1usize, 4, 16, 64, 256]) {
             let chain = deep_guarded_chain(n, 256);
             let expected = IExp::Int((1..=n as i64).sum());
             // The term is interned once up front and the (small, hash-
-            // consed) store cloned per iteration, so the store and machine
-            // arms time evaluation — not re-decoding an input tree that
-            // repeats the payload at every level. Each clone starts with
-            // an empty substitution memo; no state leaks across samples.
+            // consed) store cloned per iteration, so the machine arm times
+            // evaluation — not re-decoding an input tree that repeats the
+            // payload at every level. Each clone starts with an empty
+            // substitution memo; no state leaks across samples.
             let mut base = TermStore::new();
             let t = base.intern_iexp(&chain);
             // The tree evaluator is O(n²·k) on this workload — seconds
-            // per iteration at 256 — so its curve stops at 64; the store
-            // curve bounds it from below everywhere.
+            // per iteration at 256 — so its curve stops at 64.
             if n <= 64 {
                 results.push(summarize(
                     "B18",
@@ -589,20 +590,6 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
             }
             results.push(summarize(
                 "B18",
-                "eval/store",
-                n.to_string(),
-                sample(config.iters, || {
-                    let mut store = base.clone();
-                    let r = StoreEvaluator::with_fuel(&mut store, DEFAULT_FUEL)
-                        .eval(t)
-                        .expect("evaluates");
-                    let result = store.to_iexp(r);
-                    assert_eq!(result, expected);
-                    result
-                }),
-            ));
-            results.push(summarize(
-                "B18",
                 "eval/machine",
                 n.to_string(),
                 sample(config.iters, || {
@@ -616,36 +603,6 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
                 }),
             ));
         }
-
-        // The serve-level delta: the B14 request script replayed with the
-        // evaluator kind pinned to the machine and then to the store
-        // oracle — a fresh server per iteration, exactly as B14 times it.
-        let (lines, _expected_errors) = serve_script();
-        let registry_factory: hazel::server::RegistryFactory = std::sync::Arc::new(|| {
-            let mut registry = LivelitRegistry::new();
-            hazel::std::register_all(&mut registry);
-            registry
-        });
-        for (kind, label) in [
-            (hazel::lang::EvalKind::Machine, "serve/machine"),
-            (hazel::lang::EvalKind::Store, "serve/store"),
-        ] {
-            hazel::lang::set_eval_kind_override(Some(kind));
-            results.push(summarize(
-                "B18",
-                label,
-                "1000 requests".to_string(),
-                sample(config.iters, || {
-                    let mut server = hazel::server::Server::with_registry(registry_factory.clone());
-                    let mut len = 0usize;
-                    for line in &lines {
-                        len += server.handle_line(line).len();
-                    }
-                    len
-                }),
-            ));
-        }
-        hazel::lang::set_eval_kind_override(None);
     }
 }
 
@@ -1272,18 +1229,20 @@ fn churn_client(
                 Err(_) => return at,
             }
         };
+        // One segment per request: a line and its newline written
+        // separately would leave the newline behind Nagle's algorithm
+        // until the server's delayed ACK, tens of milliseconds per
+        // round trip on loopback. Failing to set the option costs only
+        // latency, never correctness.
+        let _ = stream.set_nodelay(true);
         let Ok(mut writer) = stream.try_clone() else {
             return at;
         };
         let mut reader = BufReader::new(stream);
         while at < lines.len() {
             let started = Instant::now();
-            if writer
-                .write_all(lines[at].as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            let request = format!("{}\n", lines[at]);
+            if writer.write_all(request.as_bytes()).is_err() {
                 // Reset mid-write: nothing past `at` was processed; try
                 // again on a fresh connection.
                 reconnects += 1;

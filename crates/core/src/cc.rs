@@ -32,12 +32,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use hazel_lang::elab::elab_syn;
 use hazel_lang::eval::{
-    eval_traced_auto, fill, report_machine_counters, resume_sigma_counted, EvalError, DEFAULT_FUEL,
+    eval_traced, fill, report_machine_counters, resume_sigma_counted, EvalError, DEFAULT_FUEL,
 };
 use hazel_lang::external::{CaseArm, EExp};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
-use hazel_lang::machine::eval_kind;
 use hazel_lang::store::{TermId, TermStore, VarId};
 use hazel_lang::typ::Typ;
 use hazel_lang::typing::{syn, Ctx, Delta, TypeError};
@@ -534,7 +533,7 @@ impl Collection {
         let _span = livelit_trace::span("cc.resume_result");
         let filled = self.omega.fill(&self.proto_result);
         // The program is closed, so resumption is ordinary evaluation.
-        eval_traced_auto(&filled, self.fuel)
+        eval_traced(&filled, self.fuel)
     }
 }
 
@@ -560,7 +559,7 @@ pub fn collect_with_fuel(
     let (d_cc, _, delta) = elab_syn(&Ctx::empty(), &cc_exp)?;
     let proto_result = {
         let _span = livelit_trace::span("cc.eval");
-        eval_traced_auto(&d_cc, fuel)?
+        eval_traced(&d_cc, fuel)?
     };
 
     let envs = collect_envs(&proto_result, &omega, fuel)?;
@@ -583,7 +582,7 @@ pub fn collect_with_fuel(
 /// several positions — collapse to one), then fills with Ω and resumes.
 ///
 /// Resumption fans out on the work-stealing pool: each (hole, closure)
-/// task is pure tree evaluation over shared immutable inputs (Ω and the
+/// task is pure evaluation over shared immutable inputs (Ω and the
 /// proto-environments), so tasks are independent by construction. The
 /// sequential observable discipline is preserved exactly — results are
 /// reassembled in (hole, closure) order, `ClosuresCollected` is emitted
@@ -608,13 +607,11 @@ fn collect_envs(
         .into_iter()
         .flat_map(|(u, sigmas)| sigmas.into_iter().map(move |s| (u, s)))
         .collect();
-    // Capture the evaluator kind once so every resumption task in the
-    // batch uses the same evaluator; machine counters are returned per
-    // task and counted below on this thread, in task order.
-    let kind = eval_kind();
+    // Machine counters are returned per task and counted below on this
+    // thread, in task order.
     let resumed = crate::par::run_tasks(&tasks, move |_, (_, sigma)| {
         let filled = omega.fill_sigma(sigma);
-        resume_sigma_counted(&filled, fuel, kind)
+        resume_sigma_counted(&filled, fuel)
     });
 
     let mut envs: BTreeMap<HoleName, Vec<Sigma>> = BTreeMap::new();
@@ -657,7 +654,7 @@ pub fn collect(phi: &LivelitCtx, program: &UExp) -> Result<Collection, CollectEr
 pub fn eval_full(phi: &LivelitCtx, program: &UExp, fuel: u64) -> Result<IExp, CollectError> {
     let expanded = expand(phi, program)?;
     let (d, _, _) = elab_syn(&Ctx::empty(), &expanded)?;
-    Ok(eval_traced_auto(&d, fuel)?)
+    Ok(eval_traced(&d, fuel)?)
 }
 
 #[cfg(test)]

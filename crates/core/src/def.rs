@@ -89,9 +89,9 @@ pub struct LivelitDef {
     def_id: u64,
     attested_pure: bool,
     /// For native expansion functions that merely *host* an object-language
-    /// expansion function (module-file livelits run theirs on a dedicated
-    /// big stack), the hosted term — static evidence the purity analysis
-    /// can inspect even though `expand` is an opaque closure.
+    /// expansion function (module-file livelits evaluate theirs on the
+    /// environment machine), the hosted term — static evidence the purity
+    /// analysis can inspect even though `expand` is an opaque closure.
     object_evidence: Option<Box<(IExp, EncodingScheme)>>,
 }
 

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use hazel_lang::elab::elab_syn;
-use hazel_lang::eval::{EvalError, Evaluator, DEFAULT_FUEL};
+use hazel_lang::eval::{eval_traced, EvalError, DEFAULT_FUEL};
 use hazel_lang::external::{CaseArm, EExp};
 use hazel_lang::ident::{LivelitName, Var};
 use hazel_lang::internal::IExp;
@@ -304,9 +304,8 @@ fn expand_invocation_inner(
     let pexpansion = match &def.expand {
         ExpandFn::Object(d_expand, scheme) => {
             let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(ap.model.clone()));
-            let d_encoded = Evaluator::with_fuel(DEFAULT_FUEL)
-                .eval(&applied)
-                .map_err(|error| ExpandError::ExpandEval {
+            let d_encoded =
+                eval_traced(&applied, DEFAULT_FUEL).map_err(|error| ExpandError::ExpandEval {
                     livelit: ap.name.clone(),
                     error,
                 })?;
@@ -914,6 +913,68 @@ mod tests {
         let (expanded, ty, _) = expand_typed(&phi, &Ctx::empty(), &e).unwrap();
         assert_eq!(ty, Typ::Int);
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
+        assert_eq!(eval(&d).unwrap(), IExp::Int(42));
+    }
+
+    #[test]
+    fn deeply_recursive_object_expansion_fits_a_default_thread_stack() {
+        // The expand function makes 10 000 non-tail recursive calls before
+        // returning its encoding: `go n = if n <= 0 then enc else go (n-1) ^ ""`.
+        // Expansion evaluates on the environment machine, whose control
+        // state lives on its frame arena, so Rust's default 2 MiB thread
+        // stack suffices.
+        let expanded = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let encoded = crate::encoding::encode(&lam("x", Typ::Int, add(var("x"), int(1))));
+                let IExp::Str(enc) = encoded else {
+                    panic!("the text encoding is a string");
+                };
+                let go = letrec(
+                    "go",
+                    Typ::arrow(Typ::Int, Typ::Str),
+                    lam(
+                        "n",
+                        Typ::Int,
+                        ite(
+                            bin(hazel_lang::BinOp::Le, var("n"), int(0)),
+                            string(&enc),
+                            bin(
+                                hazel_lang::BinOp::Concat,
+                                ap(var("go"), sub(var("n"), int(1))),
+                                string(""),
+                            ),
+                        ),
+                    ),
+                    var("go"),
+                );
+                let (d_expand, _, _) =
+                    elab_syn(&Ctx::empty(), &lam("m", Typ::Int, ap(go, var("m")))).unwrap();
+                let mut phi = LivelitCtx::new();
+                phi.define(LivelitDef::object(
+                    "$deep",
+                    vec![],
+                    Typ::arrow(Typ::Int, Typ::Int),
+                    Typ::Int,
+                    d_expand,
+                ))
+                .unwrap();
+                let e = UExp::Ap(
+                    Box::new(UExp::Livelit(Box::new(LivelitAp {
+                        name: LivelitName::new("$deep"),
+                        model: IExp::Int(10_000),
+                        splices: vec![],
+                        hole: HoleName(0),
+                    }))),
+                    Box::new(UExp::Int(41)),
+                );
+                expand(&phi, &e).map_err(|e| e.to_string())
+            })
+            .expect("spawn a default-sized thread")
+            .join()
+            .expect("expansion must not overflow a 2 MiB stack")
+            .expect("expands");
+        let (d, _, _) = elab_syn(&Ctx::empty(), &expanded).unwrap();
         assert_eq!(eval(&d).unwrap(), IExp::Int(42));
     }
 }

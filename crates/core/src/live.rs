@@ -13,13 +13,11 @@ use std::mem;
 use std::sync::{Arc, PoisonError};
 
 use hazel_lang::elab::elab_ana;
-use hazel_lang::eval::{
-    eval_traced_auto, report_machine_counters, EvalError, StoreEvaluator, DEFAULT_FUEL,
-};
+use hazel_lang::eval::{eval_traced, report_machine_counters, EvalError, DEFAULT_FUEL};
 use hazel_lang::final_form::{is_value, Classification};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
-use hazel_lang::machine::{eval_kind, EvalKind, MachineCounters, MachineEvaluator};
+use hazel_lang::machine::MachineEvaluator;
 use hazel_lang::store::{TermId, TermStore};
 use hazel_lang::typ::Typ;
 use hazel_lang::typing::{Ctx, TypeError};
@@ -132,7 +130,7 @@ pub fn eval_splice_in_env(
         // A variable in the splice has no collected value.
         return Ok(None);
     }
-    let result = eval_traced_auto(&closed, fuel)?;
+    let result = eval_traced(&closed, fuel)?;
     Ok(Some(if is_value(&result) {
         LiveResult::Val(result)
     } else {
@@ -269,33 +267,18 @@ pub fn eval_splices(
 
     if !to_eval.is_empty() {
         let _span = livelit_trace::span("live.eval_batch");
-        // Capture the evaluator kind once on the coordinating thread so
-        // every task in the batch uses the same evaluator.
-        let kind = eval_kind();
         let frozen = Arc::new(mem::take(&mut interned.store));
         let frozen_ref = &frozen;
         let mut outcomes = crate::par::run_tasks(&to_eval, move |_, &(_, closed)| {
-            // Pool workers run on `WORKER_STACK_BYTES` stacks, so even the
-            // recursive store evaluator needs no `run_on_big_stack`
-            // trampoline here (the machine's control state is an explicit
-            // frame arena and never recurses). The evaluator writes only
-            // into the task-private delta; trace events are never emitted
-            // from worker threads — steps and machine counters are
-            // returned and counted on the coordinating thread in task
-            // order, keeping transcripts bit-identical at any pool size.
+            // The machine writes only into the task-private delta; trace
+            // events are never emitted from worker threads — steps and
+            // machine counters are returned and counted on the
+            // coordinating thread in task order, keeping transcripts
+            // bit-identical at any pool size.
             let mut delta = TermStore::delta(frozen_ref);
-            let (result, steps, machine) = match kind {
-                EvalKind::Machine => {
-                    let mut evaluator = MachineEvaluator::with_fuel(&mut delta, DEFAULT_FUEL);
-                    let result = evaluator.eval(closed);
-                    (result, evaluator.steps(), evaluator.counters())
-                }
-                EvalKind::Store => {
-                    let mut evaluator = StoreEvaluator::with_fuel(&mut delta, DEFAULT_FUEL);
-                    let result = evaluator.eval(closed);
-                    (result, evaluator.steps(), MachineCounters::default())
-                }
-            };
+            let mut evaluator = MachineEvaluator::with_fuel(&mut delta, DEFAULT_FUEL);
+            let result = evaluator.eval(closed);
+            let (steps, machine) = (evaluator.steps(), evaluator.counters());
             (result, steps, machine, delta)
         });
         for (_, _, _, delta) in outcomes.iter_mut().flatten() {

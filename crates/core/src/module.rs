@@ -13,7 +13,7 @@
 use std::fmt;
 
 use hazel_lang::elab::elab_ana;
-use hazel_lang::eval::{eval_traced_auto, EvalError, DEFAULT_FUEL};
+use hazel_lang::eval::{eval_traced, EvalError, DEFAULT_FUEL};
 use hazel_lang::ident::LivelitName;
 use hazel_lang::internal::IExp;
 use hazel_lang::module::LivelitDecl;
@@ -98,11 +98,10 @@ pub fn load_decl(decl: &LivelitDecl) -> Result<CheckedDecl, DeclError> {
                 error,
             }
         })?;
-    let init_model =
-        eval_traced_auto(&d_init, DEFAULT_FUEL).map_err(|error| DeclError::InitEval {
-            livelit: decl.name.clone(),
-            error,
-        })?;
+    let init_model = eval_traced(&d_init, DEFAULT_FUEL).map_err(|error| DeclError::InitEval {
+        livelit: decl.name.clone(),
+        error,
+    })?;
     if !value_has_typ(&init_model, &decl.model_ty) {
         return Err(DeclError::InitNotAValue {
             livelit: decl.name.clone(),

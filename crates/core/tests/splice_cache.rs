@@ -4,9 +4,6 @@
 //! drag sessions). The generational scheme retires one generation at a
 //! time and promotes hot entries, and reports retirements through the
 //! `SpliceCacheEvictions` counter.
-//!
-//! Lives in its own integration-test binary because it asserts on
-//! process-global trace counters.
 
 use hazel_lang::store::TermId;
 use livelit_core::cc::{CachedSplice, SpliceCache, SPLICE_CACHE_CAP};

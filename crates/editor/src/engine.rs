@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
@@ -217,16 +216,6 @@ pub(crate) fn run_with_fuel_in(
     Ok(output)
 }
 
-/// Whether the `LIVELIT_VIEW_ORACLE` differential oracle is on: every
-/// retained render is shadowed by a legacy from-scratch rebuild and the
-/// two are asserted identical. Off by default (the `view_arena_props`
-/// suite runs the same comparison as a test); set the variable to any
-/// value but `0` to enable it in a debugging session.
-fn view_oracle_enabled() -> bool {
-    static ORACLE: OnceLock<bool> = OnceLock::new();
-    *ORACLE.get_or_init(|| std::env::var("LIVELIT_VIEW_ORACLE").is_ok_and(|v| v != "0"))
-}
-
 /// Recomputes each livelit's view under its selected closure, in place.
 /// Used by both the full pipeline and the incremental fast path (views
 /// depend on models and environments, which both may have changed).
@@ -325,33 +314,12 @@ pub(crate) fn recompute_views(
             livelit_trace::count(livelit_trace::Counter::ViewArenaLive, arena_live);
         }
     }
-    if view_oracle_enabled() {
-        let (legacy_views, legacy_errors) =
-            compute_views_from_scratch(registry, doc, &output.collection, fuel);
-        assert_eq!(
-            legacy_views.len(),
-            output.views.len(),
-            "view oracle: retained and legacy view sets diverge"
-        );
-        for (u, view) in &output.views {
-            assert_eq!(
-                legacy_views.get(u),
-                Some(&**view),
-                "view oracle: retained view for {u} diverges from legacy rebuild"
-            );
-        }
-        assert_eq!(
-            legacy_errors, output.view_errors,
-            "view oracle: view errors diverge"
-        );
-    }
 }
 
 /// The legacy rebuild-everything view pass: computes every instance's view
 /// from scratch with no retained state. This is the differential oracle
-/// the retained pipeline is validated against — by the
-/// `view_arena_props` suite on random edit scripts, and inline on every
-/// render when `LIVELIT_VIEW_ORACLE` is set.
+/// the retained pipeline is validated against by the `view_arena_props`
+/// suite on random edit scripts.
 pub fn compute_views_from_scratch(
     registry: &LivelitRegistry,
     doc: &Document,

@@ -46,12 +46,11 @@ impl ObjectLivelit {
         match &self.checked.def.expand {
             ExpandFn::Object(d_expand, scheme) => {
                 let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(model.clone()));
-                // The machine path runs inline on an explicit frame
-                // arena; the store-oracle path degrades a spawn failure
-                // (resource exhaustion) to an expansion error on this
-                // invocation, not a host abort.
+                // The machine runs inline on an explicit frame arena, so
+                // a deeply recursive expand function cannot overflow the
+                // host stack.
                 let encoded =
-                    hazel_lang::eval::eval_traced_auto(&applied, hazel_lang::eval::DEFAULT_FUEL)
+                    hazel_lang::eval::eval_traced(&applied, hazel_lang::eval::DEFAULT_FUEL)
                         .map_err(|e| e.to_string())?;
                 match scheme {
                     livelit_core::def::EncodingScheme::Text => {

@@ -2,10 +2,6 @@
 //! invocations: with the expansion cache keyed on (definition, model,
 //! splice types) and the incremental engine keyed on interned skeleton
 //! `TermId`s, a model edit re-expands exactly the edited invocation.
-//!
-//! This test lives in its own integration-test binary: it asserts on
-//! process-global trace counters, and sibling tests running engines in
-//! parallel threads would pollute them.
 
 use hazel_editor::{Document, IncrementalEngine, LivelitRegistry};
 use hazel_lang::parse::parse_uexp;

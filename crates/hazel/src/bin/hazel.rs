@@ -535,10 +535,10 @@ fn serve(args: &[String]) -> ExitCode {
         }
     }
     // Phase attribution and slow-trace capture ride on an installed
-    // tracer; only the sequential stdio path gets one (batch and socket
-    // handler threads would interleave their span parentage on the
-    // process-global stack). The guard must outlive the request loop and
-    // drop on this thread.
+    // tracer. Tracers are per thread, so only the sequential stdio path,
+    // which serves every request on this thread, gets one: batch and
+    // socket handler threads install none and record no phases. The guard
+    // must outlive the request loop and drop on this thread.
     let _trace_guard = metrics.as_ref().filter(|_| stdio && !batch).map(|m| {
         let sink = PairSink(MetricsSink::new(Arc::clone(m.hub())), m.capture().clone());
         hazel::trace::install(&Tracer::monotonic(sink))

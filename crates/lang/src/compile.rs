@@ -2,12 +2,13 @@
 //! (`crate::machine`).
 //!
 //! The machine charges evaluation steps exactly as the substitution-based
-//! evaluators do, so that `EvalSteps` (and fuel exhaustion points) stay
-//! bit-identical across evaluator kinds. The one place this requires real
-//! work is variable lookup: where the tree evaluator *re-evaluates* the
-//! value it substituted in (a final term, so re-evaluation returns it
-//! unchanged but still consumes steps), the machine returns the bound value
-//! in O(1) and charges the steps the re-evaluation would have cost. That
+//! tree evaluator (the spec oracle) does, so that `EvalSteps` (and fuel
+//! exhaustion points) stay bit-identical to it. The one place this
+//! requires real work is variable lookup: where the tree evaluator
+//! *re-evaluates* the value it substituted in (a final term, so
+//! re-evaluation returns it unchanged but still consumes steps), the
+//! machine returns the bound value in O(1) and charges the steps the
+//! re-evaluation would have cost. That
 //! cost — the *replay cost* of a final term — is a pure function of the
 //! term, computed here iteratively over the hash-consed DAG and memoized
 //! per `TermId`.
@@ -17,7 +18,7 @@ use std::collections::HashMap;
 use crate::store::{Node, TermId, TermStore};
 
 /// Memoized replay costs: the number of evaluation steps the big-step
-/// evaluators spend re-evaluating a *final* term.
+/// tree evaluator spends re-evaluating a *final* term.
 ///
 /// Re-evaluating a final term returns it unchanged: literals and lambdas
 /// cost one step; constructors cost one step plus their components;

@@ -9,13 +9,18 @@
 //!
 //! Evaluation is fuel-limited so that divergent fixpoints surface as
 //! [`EvalError::OutOfFuel`] rather than hanging the editor.
+//!
+//! [`Evaluator`] transcribes the rules directly and recurses on redex
+//! depth; it is the specification the tests hold the environment machine
+//! to. Production code evaluates through [`eval_traced`], which runs
+//! [`crate::machine::MachineEvaluator`] on the caller's thread.
 
 use std::fmt;
 
 use crate::final_form::is_final;
 use crate::internal::{IExp, Sigma};
 use crate::ops::BinOp;
-use crate::store::{Node, TermId, TermStore, VarId};
+use crate::store::TermStore;
 
 /// Default evaluation fuel (number of recursive evaluation steps).
 pub const DEFAULT_FUEL: u64 = 4_000_000;
@@ -38,9 +43,9 @@ pub enum EvalError {
     /// reachable when evaluating unchecked expansions, which is why
     /// expansion validation (premise 5 of ELivelit) exists.
     IllTyped(String),
-    /// The evaluator's host thread failed (it panicked or could not be
-    /// spawned). Surfaced as an error instead of propagating the panic so
-    /// one runaway evaluation cannot take down the editor process.
+    /// An evaluation task on the scheduler pool panicked. Surfaced as an
+    /// error instead of propagating the panic so one runaway evaluation
+    /// cannot take down the editor process.
     Internal(String),
 }
 
@@ -58,7 +63,8 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A fuel-limited evaluator.
+/// The fuel-limited tree evaluator: the specification (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     fuel: u64,
@@ -280,275 +286,18 @@ fn eval_bin(op: BinOp, da: IExp, db: IExp) -> Result<IExp, EvalError> {
     }
 }
 
-/// A fuel-limited evaluator over interned terms: [`Evaluator`] arm for
-/// arm, but substitution is path-copying and memoized, structural checks
-/// are id comparisons, and finality is a table lookup.
-///
-/// Results are bit-identical to the tree evaluator's — same values, same
-/// recorded σ, same step counts, same errors — which the `interned ≡ seed`
-/// property suite pins down.
-#[derive(Debug)]
-pub struct StoreEvaluator<'s> {
-    store: &'s mut TermStore,
-    fuel: u64,
-    steps: u64,
-}
-
-impl<'s> StoreEvaluator<'s> {
-    /// Creates an evaluator over `store` with the given fuel budget.
-    pub fn with_fuel(store: &'s mut TermStore, fuel: u64) -> StoreEvaluator<'s> {
-        StoreEvaluator {
-            store,
-            fuel,
-            steps: 0,
-        }
-    }
-
-    /// The number of evaluation steps consumed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Evaluates `t` to a final term id.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn eval(&mut self, t: TermId) -> Result<TermId, EvalError> {
-        self.steps += 1;
-        if self.steps > self.fuel {
-            return Err(EvalError::OutOfFuel);
-        }
-        let node = self.store.node(t).clone();
-        match node {
-            Node::Var(x) => Err(EvalError::FreeVariable(self.store.var(x).clone())),
-            Node::Lam(..)
-            | Node::Int(_)
-            | Node::Float(_)
-            | Node::Bool(_)
-            | Node::Str(_)
-            | Node::Unit
-            | Node::Nil(_) => Ok(t),
-            Node::Fix(x, _, body) => {
-                // fix x.d ⇓ [fix x.d / x]d ⇓ ... — the repeated unrolling
-                // substitution is where the subst memo pays off.
-                let unrolled = self.store.subst_one(body, x, t);
-                self.eval(unrolled)
-            }
-            Node::Ap(f, a) => {
-                let df = self.eval(f)?;
-                let da = self.eval(a)?;
-                match *self.store.node(df) {
-                    Node::Lam(x, _, body) => {
-                        let applied = self.store.subst_one(body, x, da);
-                        self.eval(applied)
-                    }
-                    _ if self.store.is_final(df) => Ok(self.store.intern(Node::Ap(df, da))),
-                    _ => Err(EvalError::IllTyped(format!(
-                        "application of non-function: {:?}",
-                        self.store.to_iexp(df)
-                    ))),
-                }
-            }
-            Node::Bin(op, a, b) => {
-                let da = self.eval(a)?;
-                let db = self.eval(b)?;
-                self.eval_bin(op, da, db)
-            }
-            Node::If(c, th, el) => {
-                let dc = self.eval(c)?;
-                match self.store.node(dc) {
-                    Node::Bool(true) => self.eval(th),
-                    Node::Bool(false) => self.eval(el),
-                    _ if self.store.is_final(dc) => {
-                        // Branches are preserved unevaluated, as in the
-                        // tree evaluator.
-                        Ok(self.store.intern(Node::If(dc, th, el)))
-                    }
-                    _ => Err(EvalError::IllTyped(format!(
-                        "if on non-boolean: {:?}",
-                        self.store.to_iexp(dc)
-                    ))),
-                }
-            }
-            Node::Tuple(fields) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (l, e) in &fields {
-                    out.push((l.clone(), self.eval(*e)?));
-                }
-                Ok(self.store.intern(Node::Tuple(out.into())))
-            }
-            Node::Proj(scrut, l) => {
-                let ds = self.eval(scrut)?;
-                match self.store.node(ds) {
-                    Node::Tuple(fields) => fields
-                        .iter()
-                        .find(|(fl, _)| *fl == l)
-                        .map(|(_, e)| *e)
-                        .ok_or_else(|| EvalError::IllTyped(format!("projection .{l} missing"))),
-                    _ if self.store.is_final(ds) => Ok(self.store.intern(Node::Proj(ds, l))),
-                    _ => Err(EvalError::IllTyped(format!(
-                        "projection from non-tuple: {:?}",
-                        self.store.to_iexp(ds)
-                    ))),
-                }
-            }
-            Node::Inj(ty, l, e) => {
-                let de = self.eval(e)?;
-                Ok(self.store.intern(Node::Inj(ty, l, de)))
-            }
-            Node::Case(scrut, arms) => {
-                let ds = self.eval(scrut)?;
-                match self.store.node(ds) {
-                    Node::Inj(_, l, payload) => {
-                        let payload = *payload;
-                        let l = l.clone();
-                        let (_, var, arm_body) = arms
-                            .iter()
-                            .find(|(al, _, _)| *al == l)
-                            .ok_or_else(|| EvalError::IllTyped(format!("no case arm for .{l}")))?;
-                        let body = self.store.subst_one(*arm_body, *var, payload);
-                        self.eval(body)
-                    }
-                    _ if self.store.is_final(ds) => Ok(self.store.intern(Node::Case(ds, arms))),
-                    _ => Err(EvalError::IllTyped(format!(
-                        "case on non-injection: {:?}",
-                        self.store.to_iexp(ds)
-                    ))),
-                }
-            }
-            Node::Cons(h, tl) => {
-                let dh = self.eval(h)?;
-                let dt = self.eval(tl)?;
-                Ok(self.store.intern(Node::Cons(dh, dt)))
-            }
-            Node::ListCase(scrut, nil, hv, tv, cons) => {
-                let ds = self.eval(scrut)?;
-                match *self.store.node(ds) {
-                    Node::Nil(_) => self.eval(nil),
-                    Node::Cons(h, tl) => {
-                        let body = self.store.subst_one(cons, hv, h);
-                        let body = self.store.subst_one(body, tv, tl);
-                        self.eval(body)
-                    }
-                    _ if self.store.is_final(ds) => {
-                        Ok(self.store.intern(Node::ListCase(ds, nil, hv, tv, cons)))
-                    }
-                    _ => Err(EvalError::IllTyped(format!(
-                        "list case on non-list: {:?}",
-                        self.store.to_iexp(ds)
-                    ))),
-                }
-            }
-            Node::Roll(ty, e) => {
-                let de = self.eval(e)?;
-                Ok(self.store.intern(Node::Roll(ty, de)))
-            }
-            Node::Unroll(e) => {
-                let de = self.eval(e)?;
-                match *self.store.node(de) {
-                    Node::Roll(_, inner) => Ok(inner),
-                    _ if self.store.is_final(de) => Ok(self.store.intern(Node::Unroll(de))),
-                    _ => Err(EvalError::IllTyped(format!(
-                        "unroll of non-roll: {:?}",
-                        self.store.to_iexp(de)
-                    ))),
-                }
-            }
-            Node::EmptyHole(u, sigma) => {
-                let sigma = self.eval_sigma(&sigma)?;
-                Ok(self.store.intern(Node::EmptyHole(u, sigma)))
-            }
-            Node::NonEmptyHole(u, sigma, inner) => {
-                let sigma = self.eval_sigma(&sigma)?;
-                let dinner = self.eval(inner)?;
-                Ok(self.store.intern(Node::NonEmptyHole(u, sigma, dinner)))
-            }
-            Node::ULet(..)
-            | Node::UAsc(..)
-            | Node::ULivelit(..)
-            | Node::UEmptyHole(_)
-            | Node::UNonEmptyHole(..) => Err(EvalError::IllTyped(
-                "evaluation of editor-skeleton node".to_owned(),
-            )),
-        }
-    }
-
-    /// Evaluates the closed entries of a hole closure's environment,
-    /// mirroring [`Evaluator::eval_sigma`]. Entries are already ordered by
-    /// variable name, matching the tree evaluator's `BTreeMap` order.
-    fn eval_sigma(
-        &mut self,
-        sigma: &[(VarId, TermId)],
-    ) -> Result<Box<[(VarId, TermId)]>, EvalError> {
-        let mut out = Vec::with_capacity(sigma.len());
-        for &(x, entry) in sigma {
-            let v = if self.store.is_closed(entry) {
-                self.eval(entry)?
-            } else {
-                entry
-            };
-            out.push((x, v));
-        }
-        Ok(out.into())
-    }
-
-    fn eval_bin(&mut self, op: BinOp, da: TermId, db: TermId) -> Result<TermId, EvalError> {
-        use Node::{Bool, Float, Int, Str};
-        let f = f64::from_bits;
-        let computed = match (op, self.store.node(da), self.store.node(db)) {
-            (BinOp::Add, Int(a), Int(b)) => Some(Int(a.wrapping_add(*b))),
-            (BinOp::Sub, Int(a), Int(b)) => Some(Int(a.wrapping_sub(*b))),
-            (BinOp::Mul, Int(a), Int(b)) => Some(Int(a.wrapping_mul(*b))),
-            (BinOp::Div, Int(_), Int(0)) => return Err(EvalError::DivisionByZero),
-            (BinOp::Div, Int(a), Int(b)) => Some(Int(a.wrapping_div(*b))),
-            (BinOp::FAdd, Float(a), Float(b)) => Some(Float((f(*a) + f(*b)).to_bits())),
-            (BinOp::FSub, Float(a), Float(b)) => Some(Float((f(*a) - f(*b)).to_bits())),
-            (BinOp::FMul, Float(a), Float(b)) => Some(Float((f(*a) * f(*b)).to_bits())),
-            (BinOp::FDiv, Float(a), Float(b)) => Some(Float((f(*a) / f(*b)).to_bits())),
-            (BinOp::Lt, Int(a), Int(b)) => Some(Bool(a < b)),
-            (BinOp::Le, Int(a), Int(b)) => Some(Bool(a <= b)),
-            (BinOp::Gt, Int(a), Int(b)) => Some(Bool(a > b)),
-            (BinOp::Ge, Int(a), Int(b)) => Some(Bool(a >= b)),
-            (BinOp::Eq, Int(a), Int(b)) => Some(Bool(a == b)),
-            (BinOp::FLt, Float(a), Float(b)) => Some(Bool(f(*a) < f(*b))),
-            (BinOp::FLe, Float(a), Float(b)) => Some(Bool(f(*a) <= f(*b))),
-            (BinOp::FGt, Float(a), Float(b)) => Some(Bool(f(*a) > f(*b))),
-            (BinOp::FGe, Float(a), Float(b)) => Some(Bool(f(*a) >= f(*b))),
-            (BinOp::FEq, Float(a), Float(b)) => Some(Bool(f(*a) == f(*b))),
-            (BinOp::And, Bool(a), Bool(b)) => Some(Bool(*a && *b)),
-            (BinOp::Or, Bool(a), Bool(b)) => Some(Bool(*a || *b)),
-            (BinOp::Concat, Str(a), Str(b)) => Some(Str(format!("{a}{b}"))),
-            (BinOp::StrEq, Str(a), Str(b)) => Some(Bool(a == b)),
-            _ => None,
-        };
-        match computed {
-            Some(node) => Ok(self.store.intern(node)),
-            None => {
-                if self.store.is_final(da) && self.store.is_final(db) {
-                    Ok(self.store.intern(Node::Bin(op, da, db)))
-                } else {
-                    Err(EvalError::IllTyped(format!(
-                        "binary op {op} on {:?} and {:?}",
-                        self.store.to_iexp(da),
-                        self.store.to_iexp(db)
-                    )))
-                }
-            }
-        }
-    }
-}
-
 /// Evaluates `d` with an explicit fuel budget under a `"eval"` trace span,
 /// reporting the consumed steps to the
 /// [`EvalSteps`](livelit_trace::Counter::EvalSteps) counter.
 ///
-/// This is the instrumented entry point the pipeline's top-level
-/// evaluations route through. It evaluates via the hash-consed
-/// [`TermStore`] ([`StoreEvaluator`]) — substitution is path-copying and
-/// memoized instead of deep-cloning — and converts the result back to a
-/// tree. The result is bit-identical to [`Evaluator::eval`]'s, including
-/// recorded σ and step counts (property-tested in the integration suite).
+/// This is the entry point every production evaluation routes through. It
+/// interns `d` into a fresh [`TermStore`], runs the environment machine
+/// ([`crate::machine::MachineEvaluator`]) on the caller's thread, and
+/// converts the result back to a tree. The machine keeps its control
+/// state on an explicit frame arena, so deep object-language recursion
+/// never grows the host stack. The result is bit-identical to
+/// [`Evaluator::eval`]'s, including recorded σ and step counts
+/// (property-tested in the integration suite).
 ///
 /// # Errors
 ///
@@ -556,46 +305,20 @@ impl<'s> StoreEvaluator<'s> {
 pub fn eval_traced(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
     let mut store = TermStore::new();
     let t = store.intern_iexp(d);
-    eval_traced_in_store(&mut store, t, fuel).map(|id| store.to_iexp(id))
-}
-
-/// [`eval_traced`] over an already-interned term in a caller-owned store —
-/// the entry point for pipelines that keep terms interned across calls
-/// (collection environments, live splice evaluation).
-///
-/// # Errors
-///
-/// See [`EvalError`].
-pub fn eval_traced_in_store(
-    store: &mut TermStore,
-    t: TermId,
-    fuel: u64,
-) -> Result<TermId, EvalError> {
-    let _span = livelit_trace::span("eval");
-    let result = match crate::machine::eval_kind() {
-        crate::machine::EvalKind::Machine => {
-            let mut evaluator = crate::machine::MachineEvaluator::with_fuel(store, fuel);
-            let result = evaluator.eval(t);
-            let steps = evaluator.steps();
-            let machine = evaluator.counters();
-            livelit_trace::count(livelit_trace::Counter::EvalSteps, steps);
-            report_machine_counters(machine);
-            result
-        }
-        crate::machine::EvalKind::Store => {
-            let mut evaluator = StoreEvaluator::with_fuel(store, fuel);
-            let result = evaluator.eval(t);
-            let steps = evaluator.steps();
-            livelit_trace::count(livelit_trace::Counter::EvalSteps, steps);
-            result
-        }
+    let result = {
+        let _span = livelit_trace::span("eval");
+        let mut evaluator = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
+        let result = evaluator.eval(t);
+        livelit_trace::count(livelit_trace::Counter::EvalSteps, evaluator.steps());
+        report_machine_counters(evaluator.counters());
+        store.report_trace_counters();
+        result
     };
-    store.report_trace_counters();
-    result
+    result.map(|id| store.to_iexp(id))
 }
 
-/// Reports machine work counters to the trace layer (no-ops on zeroes so
-/// store-evaluator runs leave no machine counters behind).
+/// Reports machine work counters to the trace layer (zero counters are
+/// skipped, so traces carry no zero-delta events).
 pub fn report_machine_counters(c: crate::machine::MachineCounters) {
     if c.transitions > 0 {
         livelit_trace::count(livelit_trace::Counter::MachineSteps, c.transitions);
@@ -608,117 +331,17 @@ pub fn report_machine_counters(c: crate::machine::MachineCounters) {
     }
 }
 
-/// Kind-dispatching instrumented evaluation — the entry point pipeline
-/// callers use when they hold a tree-form `d`.
+/// Evaluates `d` with the default fuel budget on the tree evaluator — the
+/// spec oracle the tests compare the machine against.
 ///
-/// Under [`crate::machine::EvalKind::Machine`] (the default) this runs
-/// the environment machine *inline*: its control state is an explicit
-/// frame arena, so deep object-language recursion never grows the host
-/// stack and no big-stack thread is spawned. Under
-/// [`crate::machine::EvalKind::Store`] (`LIVELIT_EVAL=store`, the
-/// differential-testing oracle) it routes through
-/// [`eval_traced_big_stack`], because the substitution-based evaluator
-/// recurses on redex depth.
-///
-/// # Errors
-///
-/// See [`EvalError`].
-pub fn eval_traced_auto(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
-    match crate::machine::eval_kind() {
-        crate::machine::EvalKind::Machine => eval_traced(d, fuel),
-        crate::machine::EvalKind::Store => eval_traced_big_stack(d, fuel),
-    }
-}
-
-/// Evaluates `d` with the default fuel budget.
-///
-/// The tree evaluator is recursive; for programs with deep recursion (or
-/// very long list spines) use [`eval_traced_auto`], whose default
-/// machine path keeps its control state on an explicit frame arena (or
-/// [`eval_traced_big_stack`] for the substitution evaluators on a
-/// dedicated big-stack thread).
+/// The tree evaluator recurses on redex depth; production code evaluates
+/// through [`eval_traced`], whose machine never grows the host stack.
 ///
 /// # Errors
 ///
 /// See [`EvalError`].
 pub fn eval(d: &IExp) -> Result<IExp, EvalError> {
     Evaluator::with_fuel(DEFAULT_FUEL).eval(d)
-}
-
-/// Default stack size for [`run_on_big_stack`]: generous enough for deeply
-/// recursive object-language programs under debug-build frame sizes.
-pub const BIG_STACK_BYTES: usize = 512 * 1024 * 1024;
-
-/// [`eval_traced`] on a dedicated [`BIG_STACK_BYTES`] thread, with spawn
-/// failure surfaced as an error instead of a panic. Under resource
-/// exhaustion — exactly the conditions a long-lived server sees — thread
-/// creation can fail, and a pipeline entry point must degrade to an
-/// erroring request, not abort the host.
-///
-/// # Errors
-///
-/// See [`EvalError`]. A failure to spawn the evaluation thread (or a panic
-/// on it) is reported as [`EvalError::Internal`].
-pub fn eval_traced_big_stack(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
-    match try_run_on_big_stack_sized(BIG_STACK_BYTES, || eval_traced(d, fuel)) {
-        Ok(result) => result,
-        Err(msg) => Err(EvalError::Internal(msg)),
-    }
-}
-
-/// Runs `f` on a dedicated thread with a large stack. The evaluator is
-/// recursive, so interpreting deeply recursive object-language programs
-/// needs more stack than default threads provide; public entry points that
-/// may evaluate arbitrary programs route through this.
-///
-/// # Panics
-///
-/// Panics if the thread cannot be spawned, or propagates a panic from `f`.
-pub fn run_on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    run_on_big_stack_sized(BIG_STACK_BYTES, f)
-}
-
-/// [`run_on_big_stack`] with an explicit stack size.
-///
-/// # Panics
-///
-/// Panics if the thread cannot be spawned, or propagates a panic from `f`.
-pub fn run_on_big_stack_sized<T: Send>(stack_bytes: usize, f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(stack_bytes)
-            .spawn_scoped(scope, f)
-            .expect("spawn big-stack thread")
-            .join()
-            .expect("big-stack thread panicked")
-    })
-}
-
-/// [`run_on_big_stack_sized`] that reports failure instead of panicking:
-/// a spawn failure or a panic from `f` is returned as an error message.
-///
-/// # Errors
-///
-/// Returns the panic payload (when it is a string) or the spawn error,
-/// rendered as a message.
-pub fn try_run_on_big_stack_sized<T: Send>(
-    stack_bytes: usize,
-    f: impl FnOnce() -> T + Send,
-) -> Result<T, String> {
-    std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .stack_size(stack_bytes)
-            .spawn_scoped(scope, f)
-            .map_err(|e| format!("could not spawn evaluation thread: {e}"))?;
-        handle.join().map_err(|payload| {
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "evaluation thread panicked".to_owned());
-            format!("evaluation thread panicked: {msg}")
-        })
-    })
 }
 
 /// Hole filling `⟦d_fill/u⟧d` (Sec. 4.3.2).
@@ -901,48 +524,37 @@ pub fn resume_sigma(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError> {
     Ok(Sigma(out))
 }
 
-/// Kind-dispatching [`resume_sigma`] that also returns the machine work
-/// counters it accumulated (zero under [`crate::machine::EvalKind::Store`],
-/// whose tree-evaluator resumption has no machine).
+/// [`resume_sigma`] on the environment machine, also returning the machine
+/// work counters it accumulated.
 ///
-/// `kind` is explicit rather than read from the process configuration so
-/// that a batch coordinator can capture it once and hand it to pool
-/// tasks, keeping a whole batch on one evaluator. Results are
-/// bit-identical across kinds (property-tested); only the counters
-/// differ. Each entry gets a fresh `fuel` budget, exactly as
+/// The counters are returned rather than reported so that pool tasks,
+/// which never emit trace events, can hand them back to the coordinating
+/// thread. Results are bit-identical to [`resume_sigma`]'s
+/// (property-tested). Each entry gets a fresh `fuel` budget, exactly as
 /// [`resume`] gives each entry a fresh evaluator.
 pub fn resume_sigma_counted(
     sigma: &Sigma,
     fuel: u64,
-    kind: crate::machine::EvalKind,
 ) -> (Result<Sigma, EvalError>, crate::machine::MachineCounters) {
-    match kind {
-        crate::machine::EvalKind::Store => (
-            resume_sigma(sigma, fuel),
-            crate::machine::MachineCounters::default(),
-        ),
-        crate::machine::EvalKind::Machine => {
-            let mut counters = crate::machine::MachineCounters::default();
-            let mut store = TermStore::new();
-            let mut out = std::collections::BTreeMap::new();
-            for (x, d) in sigma.iter() {
-                let resumed = if d.is_closed() {
-                    let t = store.intern_iexp(d);
-                    let mut machine = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
-                    let result = machine.eval(t);
-                    counters.merge(machine.counters());
-                    match result {
-                        Ok(id) => store.to_iexp(id),
-                        Err(e) => return (Err(e), counters),
-                    }
-                } else {
-                    d.clone()
-                };
-                out.insert(x.clone(), resumed);
+    let mut counters = crate::machine::MachineCounters::default();
+    let mut store = TermStore::new();
+    let mut out = std::collections::BTreeMap::new();
+    for (x, d) in sigma.iter() {
+        let resumed = if d.is_closed() {
+            let t = store.intern_iexp(d);
+            let mut machine = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
+            let result = machine.eval(t);
+            counters.merge(machine.counters());
+            match result {
+                Ok(id) => store.to_iexp(id),
+                Err(e) => return (Err(e), counters),
             }
-            (Ok(Sigma(out)), counters)
-        }
+        } else {
+            d.clone()
+        };
+        out.insert(x.clone(), resumed);
     }
+    (Ok(Sigma(out)), counters)
 }
 
 /// Expression resumption (Def. 4.7, clauses 2 and 3): evaluates `d` if it
@@ -1057,7 +669,7 @@ mod tests {
             ap(var("f"), int(0)),
         );
         let (d, _, _) = elab_syn(&Ctx::empty(), &omega).unwrap();
-        assert_eq!(eval_traced_auto(&d, 10_000), Err(EvalError::OutOfFuel));
+        assert_eq!(eval_traced(&d, 10_000), Err(EvalError::OutOfFuel));
     }
 
     #[test]
@@ -1182,92 +794,15 @@ mod tests {
             (Var::new("open"), IExp::Var(Var::new("open"))),
         ]);
         let resumed = resume_sigma(&sigma, DEFAULT_FUEL).unwrap();
+        assert_eq!(
+            resume_sigma_counted(&sigma, DEFAULT_FUEL).0,
+            Ok(resumed.clone())
+        );
         assert_eq!(resumed.get(&Var::new("done")), Some(&IExp::Int(3)));
         assert_eq!(
             resumed.get(&Var::new("open")),
             Some(&IExp::Var(Var::new("open")))
         );
-    }
-
-    #[test]
-    fn evaluator_thread_panic_is_an_error_not_a_host_panic() {
-        let result: Result<(), String> =
-            try_run_on_big_stack_sized(64 * 1024, || panic!("boom: {}", 6 * 7));
-        let msg = result.unwrap_err();
-        assert!(msg.contains("panicked"), "unexpected message: {msg}");
-        assert!(msg.contains("boom: 42"), "payload lost: {msg}");
-    }
-
-    #[test]
-    fn spawn_failure_is_an_error_not_a_host_abort() {
-        // A stack size no allocator can satisfy: the spawn itself fails,
-        // which must surface as `Err`, not abort the host — the server
-        // relies on this under resource exhaustion.
-        let result = try_run_on_big_stack_sized(usize::MAX / 2, || 42);
-        let msg = result.unwrap_err();
-        assert!(msg.contains("could not spawn"), "unexpected message: {msg}");
-    }
-
-    #[test]
-    fn eval_traced_auto_evaluates_under_both_kinds() {
-        let (d, _, _) = elab_syn(&Ctx::empty(), &add(int(20), int(22))).unwrap();
-        for kind in [
-            crate::machine::EvalKind::Machine,
-            crate::machine::EvalKind::Store,
-        ] {
-            crate::machine::set_eval_kind_override(Some(kind));
-            let result = eval_traced_auto(&d, DEFAULT_FUEL);
-            crate::machine::set_eval_kind_override(None);
-            assert_eq!(result, Ok(IExp::Int(42)), "under {kind:?}");
-        }
-    }
-
-    #[test]
-    fn store_eval_matches_tree_eval_and_steps() {
-        let samples = [
-            add(int(2), mul(int(3), int(4))),
-            ap(lam("x", Typ::Int, add(var("x"), var("x"))), int(21)),
-            ap(
-                lam("x", Typ::Int, add(var("x"), asc(hole(0), Typ::Int))),
-                int(2),
-            ),
-            ite(asc(hole(0), Typ::Bool), int(1), int(2)),
-            letrec(
-                "fact",
-                Typ::arrow(Typ::Int, Typ::Int),
-                lam(
-                    "n",
-                    Typ::Int,
-                    ite(
-                        bin(crate::ops::BinOp::Le, var("n"), int(0)),
-                        int(1),
-                        mul(var("n"), ap(var("fact"), sub(var("n"), int(1)))),
-                    ),
-                ),
-                ap(var("fact"), int(6)),
-            ),
-        ];
-        for e in &samples {
-            let (d, _, _) = elab_syn(&Ctx::empty(), e).expect("elaborates");
-            let mut tree_ev = Evaluator::with_fuel(DEFAULT_FUEL);
-            let tree = tree_ev.eval(&d);
-
-            let mut store = crate::store::TermStore::new();
-            let t = store.intern_iexp(&d);
-            let mut store_ev = StoreEvaluator::with_fuel(&mut store, DEFAULT_FUEL);
-            let interned = store_ev.eval(t);
-            let store_steps = store_ev.steps();
-            assert_eq!(
-                store_steps,
-                tree_ev.steps(),
-                "step count diverged for {e:?}"
-            );
-            match (tree, interned) {
-                (Ok(a), Ok(b)) => assert_eq!(a, store.to_iexp(b), "result diverged for {e:?}"),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("outcome diverged for {e:?}: tree {a:?} vs store {b:?}"),
-            }
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! let e = ap(lam("x", Typ::Int, add(var("x"), asc(hole(0), Typ::Int))), int(5));
 //! let (d, ty, _delta) = hazel_lang::elab::elab_syn(&Ctx::empty(), &e)?;
 //! assert_eq!(ty, Typ::Int);
-//! let result = hazel_lang::eval::eval(&d)?;
+//! let result = hazel_lang::eval::eval_traced(&d, hazel_lang::eval::DEFAULT_FUEL)?;
 //! assert!(hazel_lang::final_form::is_indet(&result));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -64,7 +64,7 @@ pub mod value;
 pub use external::EExp;
 pub use ident::{HoleName, Label, LivelitName, TVar, Var};
 pub use internal::{IExp, Sigma};
-pub use machine::{eval_kind, set_eval_kind_override, EvalKind, MachineCounters, MachineEvaluator};
+pub use machine::{MachineCounters, MachineEvaluator};
 pub use ops::BinOp;
 pub use store::{TermId, TermStore, VarId};
 pub use typ::Typ;

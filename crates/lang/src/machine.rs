@@ -1,18 +1,18 @@
 //! A CEK-style environment machine over the hash-consed term store.
 //!
-//! The substitution-based evaluators ([`crate::eval::Evaluator`],
-//! [`crate::eval::StoreEvaluator`]) pay a path-copying substitution at
-//! every β/fix/case step. This machine pays none on the hot path: closures
-//! are `(code, env)` pairs over a persistent environment chain allocated
-//! in a per-run arena, the continuation is an explicit frame stack (so no
-//! host-stack recursion and no big-stack threads), and substitutions are
-//! *realized* only when a value escapes into a position that needs a term
-//! — a residual indeterminate form, a recorded hole-closure σ entry, or
-//! the final result.
+//! The substitution-based tree evaluator ([`crate::eval::Evaluator`], the
+//! spec oracle) pays a substitution at every β/fix/case step. This machine
+//! pays none on the hot path: closures are `(code, env)` pairs over a
+//! persistent environment chain allocated in a per-run arena, the
+//! continuation is an explicit frame stack (so no host-stack recursion:
+//! it runs on the caller's thread at any recursion depth), and
+//! substitutions are *realized* only when a value escapes into a position
+//! that needs a term — a residual indeterminate form, a recorded
+//! hole-closure σ entry, or the final result.
 //!
 //! # Exact parity with the substitution semantics
 //!
-//! The machine is differential-tested bit-identical to both evaluators:
+//! The machine is differential-tested bit-identical to the tree evaluator:
 //! same values, same recorded σ environments, same error taxonomy, and the
 //! same step counts (so fuel runs out at the same instant). Three
 //! disciplines make this exact rather than approximate:
@@ -41,67 +41,11 @@
 //!   invariant above.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::compile::ReplayCosts;
 use crate::eval::EvalError;
 use crate::ops::BinOp;
 use crate::store::{Node, TermId, TermStore, VarId};
-
-/// Which evaluator the pipeline's dispatching entry points use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalKind {
-    /// The environment machine (default): no substitution on the hot
-    /// path, explicit frame stack, no big-stack threads.
-    Machine,
-    /// The substitution-based [`crate::eval::StoreEvaluator`], kept as
-    /// the differential-testing oracle. Runs on a big-stack thread at the
-    /// pipeline entry points because it recurses on redex depth.
-    Store,
-}
-
-/// 0 = no override, 1 = machine, 2 = store.
-static KIND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static ENV_KIND: OnceLock<EvalKind> = OnceLock::new();
-static WARNED_BAD_KIND: AtomicBool = AtomicBool::new(false);
-
-/// The active evaluator kind: the process-wide override if set (tests),
-/// else `LIVELIT_EVAL` (`machine` | `store`), else [`EvalKind::Machine`].
-/// An unrecognized `LIVELIT_EVAL` value warns once on stderr and falls
-/// back to the default, mirroring `LIVELIT_THREADS` handling.
-pub fn eval_kind() -> EvalKind {
-    match KIND_OVERRIDE.load(Ordering::Relaxed) {
-        1 => EvalKind::Machine,
-        2 => EvalKind::Store,
-        _ => *ENV_KIND.get_or_init(|| match std::env::var("LIVELIT_EVAL") {
-            Ok(v) if v == "machine" => EvalKind::Machine,
-            Ok(v) if v == "store" => EvalKind::Store,
-            Ok(v) => {
-                if !WARNED_BAD_KIND.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "livelit-lang: unrecognized LIVELIT_EVAL={v:?} \
-                         (expected \"machine\" or \"store\"); using machine"
-                    );
-                }
-                EvalKind::Machine
-            }
-            Err(_) => EvalKind::Machine,
-        }),
-    }
-}
-
-/// Overrides (or with `None` clears) the evaluator kind for this process,
-/// taking precedence over `LIVELIT_EVAL`. Test-only in spirit: lets the
-/// differential suites flip kinds without re-execing.
-pub fn set_eval_kind_override(kind: Option<EvalKind>) {
-    let v = match kind {
-        None => 0,
-        Some(EvalKind::Machine) => 1,
-        Some(EvalKind::Store) => 2,
-    };
-    KIND_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Machine-specific work counters, surfaced through `livelit-trace` as
 /// `machine_steps` / `machine_allocs` / `machine_env_reuse`. All three are
@@ -225,7 +169,7 @@ enum Ctrl {
 
 /// A compact, all-`Copy` decoding of a node — lets dispatch end its
 /// borrow of the store before charging fuel or pushing frames, without
-/// cloning node payload the way the store evaluator does.
+/// cloning node payload.
 #[derive(Clone, Copy)]
 enum Op {
     Literal,
@@ -248,11 +192,10 @@ enum Op {
     Skeleton,
 }
 
-/// The environment machine. Mirrors [`crate::eval::StoreEvaluator`]'s
-/// API: construct with a fuel budget, call [`MachineEvaluator::eval`]
-/// (scratch arenas are reset between calls but keep their capacity, so a
-/// per-splice evaluator reuses its allocations), read
-/// [`MachineEvaluator::steps`] and [`MachineEvaluator::counters`].
+/// The environment machine. Construct with a fuel budget, call
+/// [`MachineEvaluator::eval`] (scratch arenas are reset between calls but
+/// keep their capacity, so a per-splice evaluator reuses its allocations),
+/// read [`MachineEvaluator::steps`] and [`MachineEvaluator::counters`].
 #[derive(Debug)]
 pub struct MachineEvaluator<'s> {
     store: &'s mut TermStore,
@@ -284,8 +227,8 @@ impl<'s> MachineEvaluator<'s> {
     }
 
     /// The number of evaluation steps consumed so far — bit-identical to
-    /// what [`crate::eval::StoreEvaluator::steps`] would report for the
-    /// same terms, across repeated `eval` calls.
+    /// what [`crate::eval::Evaluator::steps`] would report for the same
+    /// terms, across repeated `eval` calls.
     pub fn steps(&self) -> u64 {
         self.steps
     }
@@ -801,7 +744,7 @@ impl<'s> MachineEvaluator<'s> {
                     return if self.store.is_closed(h) && self.store.is_closed(tl) {
                         // Tail first, head last: the head binding is
                         // innermost, so when `hv == tv` the head wins —
-                        // matching the store evaluator's substitution
+                        // matching the tree evaluator's substitution
                         // order (head substituted first).
                         let e1 = self.push_env(tv, Binding::Val(MVal::Done(tl)), env);
                         let e2 = self.push_env(hv, Binding::Val(MVal::Done(h)), e1);
@@ -886,9 +829,8 @@ impl<'s> MachineEvaluator<'s> {
         }
     }
 
-    /// Primitive operations on realized operands — mirrors
-    /// [`crate::eval::StoreEvaluator`]'s `eval_bin` arm for arm
-    /// (including error messages).
+    /// Primitive operations on realized operands — mirrors the tree
+    /// evaluator's `eval_bin` arm for arm (including error messages).
     fn eval_bin(&mut self, op: BinOp, da: TermId, db: TermId) -> Result<TermId, EvalError> {
         use Node::{Bool, Float, Int, Str};
         let f = f64::from_bits;
@@ -1144,15 +1086,5 @@ mod tests {
         assert!(c.transitions > 0);
         assert!(c.allocs > 0);
         assert!(c.env_reuse > 0, "recursive calls must extend shared chains");
-    }
-
-    #[test]
-    fn kind_override_wins_over_default() {
-        // Not a parallel test: override is process-global, so restore it.
-        set_eval_kind_override(Some(EvalKind::Store));
-        assert_eq!(eval_kind(), EvalKind::Store);
-        set_eval_kind_override(Some(EvalKind::Machine));
-        assert_eq!(eval_kind(), EvalKind::Machine);
-        set_eval_kind_override(None);
     }
 }

@@ -350,7 +350,7 @@ mod tests {
             );
         }
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &program).unwrap();
-        let result = hazel_lang::eval::eval_traced_auto(&d, 4_000_000).unwrap();
+        let result = hazel_lang::eval::eval_traced(&d, 4_000_000).unwrap();
         let computed = image_from_value(&result).expect("image result");
         assert_eq!(computed, img.brightness(30));
     }

@@ -4,14 +4,15 @@
 //! livelit plots a `Float -> Float` splice by sampling it under the
 //! collected closure. It demonstrates that live evaluation is not limited
 //! to first-order data: `eval_splice` returns the function's *closure
-//! value*, which the view then applies to sample points with the ordinary
-//! evaluator. Indeterminate samples (the function body may contain holes)
+//! value*, which the view then applies to sample points on the environment
+//! machine. Indeterminate samples (the function body may contain holes)
 //! are skipped, per the Sec. 2.5.2 degradation discipline.
 
 use hazel_lang::build;
-use hazel_lang::eval::Evaluator;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::{Label, LivelitName};
+use hazel_lang::machine::MachineEvaluator;
+use hazel_lang::store::{Node, TermStore};
 use hazel_lang::typ::Typ;
 use hazel_lang::value::iv;
 use hazel_lang::IExp;
@@ -43,15 +44,24 @@ fn model_range(model: &Model) -> Result<(f64, f64), CmdError> {
     Ok((lo, hi))
 }
 
-/// Samples a function value at `x` with the ordinary evaluator; `None` if
-/// the application is indeterminate (holes in the function body) or
-/// errors.
-fn sample(f: &IExp, x: f64, fuel: u64) -> Option<f64> {
-    let applied = IExp::Ap(Box::new(f.clone()), Box::new(IExp::Float(x)));
-    match Evaluator::with_fuel(fuel).eval(&applied) {
-        Ok(IExp::Float(y)) => Some(y),
-        _ => None,
-    }
+/// Samples a function value at each of `xs` on the environment machine,
+/// each application with its own `fuel` budget. `f` is interned once and
+/// every application shares that store. A sample is `None` if the
+/// application is indeterminate (holes in the function body) or errors.
+/// Sampling is not traced: it is view work, not program evaluation.
+fn sample_all(f: &IExp, xs: impl Iterator<Item = f64>, fuel: u64) -> Vec<Option<f64>> {
+    let mut store = TermStore::new();
+    let f = store.intern_iexp(f);
+    xs.map(|x| {
+        let x = store.intern(Node::Float(x.to_bits()));
+        let applied = store.intern(Node::Ap(f, x));
+        let y = MachineEvaluator::with_fuel(&mut store, fuel).eval(applied);
+        match y.map(|y| store.node(y)) {
+            Ok(Node::Float(bits)) => Some(f64::from_bits(*bits)),
+            _ => None,
+        }
+    })
+    .collect()
 }
 
 impl Livelit for PlotLivelit {
@@ -143,12 +153,11 @@ impl Livelit for PlotLivelit {
 
         // Live-evaluate the function splice to its closure value.
         let samples: Vec<Option<f64>> = match ctx.eval_splice(f_ref)? {
-            Some(LiveResult::Val(f)) => (0..WIDTH)
-                .map(|i| {
-                    let x = lo + (hi - lo) * i as f64 / (WIDTH - 1) as f64;
-                    sample(&f, x, 200_000)
-                })
-                .collect(),
+            Some(LiveResult::Val(f)) => sample_all(
+                &f,
+                (0..WIDTH).map(|i| lo + (hi - lo) * i as f64 / (WIDTH - 1) as f64),
+                200_000,
+            ),
             // No closure, or the function itself is indeterminate: no
             // samples (Sec. 2.5.2's graceful degradation).
             _ => vec![None; WIDTH],
@@ -320,6 +329,35 @@ mod tests {
         let gamma = collection.delta.get(HoleName(0)).unwrap().ctx.clone();
         let view = inst.view(&phi, &gamma, envs, 1_000_000).unwrap();
         assert!(flatten(&view).contains('•'));
+    }
+
+    #[test]
+    fn deeply_recursive_samples_fit_a_default_thread_stack() {
+        // Every sample makes 10 000 non-tail recursive calls (about 120k
+        // evaluation steps, within the 200k sample fuel). Sampling runs on
+        // the environment machine, whose control state lives on its frame
+        // arena, so Rust's default 2 MiB thread stack suffices.
+        let text = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| {
+                let mut inst = instance();
+                let f = parse_uexp(
+                    "fun x : Float -> let rec go : Int -> Float = \
+                     fun n : Int -> if n <= 0 then x else go (n - 1) +. 0.0 in go 10000",
+                )
+                .unwrap();
+                inst.edit_splice(SpliceRef(0), f).unwrap();
+                let env = Sigma::empty();
+                let view = inst
+                    .view(&phi(), &Ctx::empty(), std::slice::from_ref(&env), 1_000_000)
+                    .unwrap();
+                flatten(&view)
+            })
+            .expect("spawn a default-sized thread")
+            .join()
+            .expect("sampling must not overflow a 2 MiB stack");
+        // y = x at every sample, so all 41 samples landed.
+        assert!(text.contains("y ∈ [-10.00, 10.00]"), "{text}");
     }
 
     fn flatten(h: &Html<Action>) -> String {

@@ -24,9 +24,11 @@
 //!   [`std::panic::catch_unwind`]; a panicking task yields a [`TaskPanic`]
 //!   in its result slot instead of aborting the host or poisoning its
 //!   siblings.
-//! - **Big stacks**: workers get the same 512 MiB stacks the sequential
-//!   evaluator's `run_on_big_stack` uses, so deep recursion behaves
-//!   identically on and off the pool.
+//! - **Big stacks**: workers get 512 MiB stacks (reserved address space,
+//!   committed only as touched), so the recursive tree walks a task may
+//!   run — interning, substitution, decoding of deep terms — have far
+//!   more headroom than a default 2 MiB thread. Evaluation itself runs
+//!   on the environment machine's explicit frame arena and needs none.
 //!
 //! Worker count comes from `LIVELIT_THREADS` (default: available
 //! parallelism; `1` preserves the sequential path exactly — one big-stack
@@ -41,8 +43,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Stack size for pool workers: matches the evaluator's big stack so deep
-/// recursion behaves identically whether a task runs on or off the pool.
+/// Stack size for pool workers: generous headroom for recursive walks over
+/// deep terms (the evaluator itself never recurses on the host stack).
 pub const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// A captured panic from a pool task: the task's index slot holds this
@@ -448,7 +450,7 @@ mod tests {
     #[test]
     fn deep_recursion_fits_the_worker_stack() {
         // ~1M frames would overflow a default 8 MiB stack; the pool's
-        // big-stack workers absorb it just like `run_on_big_stack`.
+        // big-stack workers absorb it.
         fn deep(n: u64) -> u64 {
             if n == 0 {
                 0

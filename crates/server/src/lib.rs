@@ -76,7 +76,7 @@ use hazel_editor::{
     apply_action, open_module, Document, EditAction, IncrementalAnalyzer, IncrementalEngine,
 };
 use hazel_lang::elab::elab_syn;
-use hazel_lang::eval::{eval_traced_auto, DEFAULT_FUEL};
+use hazel_lang::eval::{eval_traced, DEFAULT_FUEL};
 use hazel_lang::ident::{HoleName, LivelitName};
 use hazel_lang::parse::parse_uexp;
 use hazel_lang::pretty::print_iexp;
@@ -1118,9 +1118,9 @@ impl Server {
     /// requests for different sessions overlap in time.
     ///
     /// Session-less and unparseable requests are handled sequentially
-    /// before the fan-out. Intended for headless load (the B14 bench);
-    /// run it without an installed tracer, since worker threads would
-    /// interleave their span parentage on the process-global span stack.
+    /// before the fan-out. Intended for headless load (the B14 bench).
+    /// Tracers are per thread, so requests served on the pool's worker
+    /// threads record nothing even when the caller has a tracer installed.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
         use std::sync::Mutex;
 
@@ -1429,7 +1429,7 @@ fn eval_value(registry: &LivelitRegistry, src: &str, what: &str) -> Result<IExp,
         .map_err(|e| RequestError::new(ErrorKind::Doc, format!("bad {what}: {e}")))?;
     let (d, _, _) = elab_syn(&Ctx::empty(), &expanded)
         .map_err(|e| RequestError::new(ErrorKind::Doc, format!("bad {what}: {e}")))?;
-    eval_traced_auto(&d, DEFAULT_FUEL)
+    eval_traced(&d, DEFAULT_FUEL)
         .map_err(|e| RequestError::new(ErrorKind::Doc, format!("bad {what}: {e}")))
 }
 

@@ -27,6 +27,9 @@
 //! nothing — the property the benchmark harness's overhead experiment
 //! demonstrates (< 2% on a full pipeline workload).
 //!
+//! Installation is per thread: a tracer records only the events emitted
+//! by the thread that installed it (see [`install`]).
+//!
 //! # Example
 //!
 //! ```

@@ -1,20 +1,20 @@
-//! The tracer: span lifecycle, parent links, and the process-global
+//! The tracer: span lifecycle, parent links, and the per-thread
 //! installation the instrumentation probes report to.
 //!
 //! Instrumented code calls the free functions [`crate::span`] and
-//! [`crate::count`]; they are no-ops (a single relaxed atomic load) until a
-//! [`Tracer`] is installed with [`install`]. Installation is serialized
-//! process-wide by a lock held for the guard's lifetime, so concurrent
-//! traced sections (e.g. parallel tests) cannot interleave their events.
-//!
-//! The pipeline evaluates on a dedicated big-stack thread
-//! (`hazel_lang::eval::run_on_big_stack`); because the current tracer and
-//! its span stack are process-global rather than thread-local, spans opened
-//! on that thread keep their parent links to spans opened on the caller's
-//! thread.
+//! [`crate::count`]; they are no-ops (a single relaxed atomic load) until
+//! some thread installs a [`Tracer`] with [`install`]. Installation is
+//! thread-scoped: a tracer records only the events emitted by the thread
+//! that installed it. Concurrent traced sections on different threads —
+//! parallel tests, server handler threads — therefore never write into
+//! each other's sinks, and a thread records nothing unless it installs a
+//! tracer of its own. Scheduler pool workers never emit events: they
+//! return their counts to the coordinating thread, which reports them.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::clock::{Clock, MonotonicClock, TestClock};
@@ -123,91 +123,65 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Fast flag the probes check before touching any lock.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// The installed tracer, when [`ENABLED`] is set.
-static CURRENT: Mutex<Option<Tracer>> = Mutex::new(None);
-/// Bumped on every install/uninstall; lets per-thread tracer caches
-/// detect staleness with one relaxed load instead of locking [`CURRENT`].
-static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Serializes installations process-wide (held by the [`InstallGuard`]).
-static INSTALL: Mutex<()> = Mutex::new(());
+/// How many enabled installs are live across all threads. Probes check
+/// this before touching thread-local state, so with no tracer installed
+/// anywhere they cost one relaxed load. `Relaxed` suffices: the count
+/// publishes no data (each thread reads only its own slot), and a thread
+/// always observes its own increments.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's last-seen `(generation, tracer)` — a cache of
-    /// [`CURRENT`] so the per-event hot path (every span begin and every
-    /// counter bump while tracing is on) costs an atomic generation check
-    /// and an `Arc` clone rather than a contended global mutex.
-    static CACHED: std::cell::RefCell<(u64, Option<Tracer>)> =
-        const { std::cell::RefCell::new((0, None)) };
+    /// The tracer installed on this thread, if any.
+    static CURRENT: RefCell<Option<Tracer>> = const { RefCell::new(None) };
 }
 
-/// Whether a tracer is currently installed. Probes compile to this single
-/// relaxed load when tracing is off.
+/// Whether a tracer is installed on this thread. When no thread has one
+/// installed this is a single relaxed load.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    INSTALLED.load(Ordering::Relaxed) != 0 && CURRENT.with(|c| c.borrow().is_some())
 }
 
-/// Keeps a tracer installed; uninstalls on drop.
+/// Keeps a tracer installed on its thread; restores the previously
+/// installed tracer (usually none) on drop. Guards are not `Send`: they
+/// must drop on the thread that created them, in reverse install order.
 #[must_use = "the tracer is uninstalled when the guard drops"]
 pub struct InstallGuard {
-    _serial: MutexGuard<'static, ()>,
+    previous: Option<Tracer>,
+    /// Whether this install enabled the probes (counted in [`INSTALLED`]).
+    counted: bool,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
-        *CURRENT.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        GENERATION.fetch_add(1, Ordering::Release);
+        let previous = self.previous.take();
+        CURRENT.with(|c| *c.borrow_mut() = previous);
+        if self.counted {
+            INSTALLED.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
-/// Installs `tracer` as the process-global trace destination until the
-/// returned guard drops. Concurrent installs from other threads block
-/// until then; do not nest installs on one thread (it would deadlock).
+/// Installs `tracer` as this thread's trace destination until the
+/// returned guard drops. Events emitted on other threads are not
+/// recorded; installs on other threads are independent of this one.
 ///
 /// A tracer whose sink [`Sink::is_noop`] (e.g. [`crate::NullSink`]) is
 /// installed without enabling the probes: recording events nobody will see
 /// would be pure overhead, so the off-state fast path is kept instead.
 pub fn install(tracer: &Tracer) -> InstallGuard {
-    let serial = INSTALL.lock().unwrap_or_else(PoisonError::into_inner);
-    let noop = tracer.lock().sink.is_noop();
-    *CURRENT.lock().unwrap_or_else(PoisonError::into_inner) = Some(tracer.clone());
-    GENERATION.fetch_add(1, Ordering::Release);
-    ENABLED.store(!noop, Ordering::SeqCst);
-    InstallGuard { _serial: serial }
-}
-
-/// The installed tracer, via this thread's generation-checked cache: the
-/// common case (tracer unchanged since this thread last looked) is one
-/// relaxed load and an `Arc` clone; only a generation mismatch pays the
-/// [`CURRENT`] lock.
-fn current() -> Option<Tracer> {
-    // Not `Option::cloned` point-free: the higher-ranked lifetime in
-    // `with_current`'s callback rejects the bare method reference.
-    #[allow(clippy::redundant_closure_for_method_calls)]
-    with_current(|tracer| tracer.cloned())
-}
-
-/// Runs `f` on the installed tracer (or `None`) borrowed from this
-/// thread's cache — the hot-path variant of [`current`] that skips the
-/// `Arc` refcount round-trip when the caller doesn't need ownership.
-fn with_current<R>(f: impl FnOnce(Option<&Tracer>) -> R) -> R {
-    let generation = GENERATION.load(Ordering::Acquire);
-    CACHED.with(|cached| {
-        let mut cached = cached.borrow_mut();
-        if cached.0 != generation {
-            *cached = (
-                generation,
-                CURRENT
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            );
-        }
-        f(cached.1.as_ref())
-    })
+    let counted = !tracer.lock().sink.is_noop();
+    let installed = counted.then(|| tracer.clone());
+    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), installed));
+    if counted {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+    }
+    InstallGuard {
+        previous,
+        counted,
+        _not_send: PhantomData,
+    }
 }
 
 /// Closes its span when dropped. The disabled form is a no-op shell.
@@ -229,18 +203,19 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a span named `name` on the installed tracer, if any. When tracing
-/// is off this is one atomic load and returns an inert guard.
+/// Opens a span named `name` on this thread's tracer, if any. When no
+/// thread has a tracer installed this is one atomic load and returns an
+/// inert guard.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
         return SpanGuard(None);
     }
     span_cow(Cow::Borrowed(name))
 }
 
 /// [`span`] with a runtime-composed name `prefix + rest`; the allocation
-/// happens only when tracing is enabled.
+/// happens only when this thread has a tracer installed.
 #[inline]
 pub fn span_prefixed(prefix: &'static str, rest: &str) -> SpanGuard {
     if !enabled() {
@@ -250,7 +225,7 @@ pub fn span_prefixed(prefix: &'static str, rest: &str) -> SpanGuard {
 }
 
 fn span_cow(name: Cow<'static, str>) -> SpanGuard {
-    match current() {
+    match CURRENT.with(|c| c.borrow().clone()) {
         Some(tracer) => {
             let id = tracer.begin(name);
             SpanGuard(Some((tracer, id)))
@@ -259,15 +234,15 @@ fn span_cow(name: Cow<'static, str>) -> SpanGuard {
     }
 }
 
-/// Adds `delta` to `counter` on the installed tracer, if any. When tracing
-/// is off this is one atomic load.
+/// Adds `delta` to `counter` on this thread's tracer, if any. When no
+/// thread has a tracer installed this is one atomic load.
 #[inline]
 pub fn count(counter: Counter, delta: u64) {
-    if !enabled() {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
         return;
     }
-    with_current(|tracer| {
-        if let Some(tracer) = tracer {
+    CURRENT.with(|c| {
+        if let Some(tracer) = c.borrow().as_ref() {
             tracer.count(counter, delta);
         }
     });

@@ -69,19 +69,40 @@ fn span_nesting_records_parent_links() {
     assert_eq!(count_span(Counter::HolesRemaining), Some(run_id));
 }
 
+/// The names of the spans opened in `events`, with their parents.
+fn begins(events: &[Event]) -> Vec<(String, Option<livelit_trace::SpanId>)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Begin { name, parent, .. } => Some((name.to_string(), *parent)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
-fn spans_survive_the_big_stack_thread_hop() {
-    // The evaluator runs on a dedicated thread
-    // (hazel_lang::eval::run_on_big_stack); the global tracer must keep
-    // parent links across that hop. Simulate one here with a plain thread.
+fn a_tracer_records_only_its_installing_thread() {
+    // Installation is thread-scoped: while this thread's tracer is
+    // installed, events emitted on another thread are not recorded, and
+    // that thread's own install records into its own sink.
     let sink = RingSink::new(1024);
     let tracer = Tracer::deterministic(sink.clone());
+    let other_sink = RingSink::new(1024);
     {
         let _session = install(&tracer);
         let _outer = span("outer");
         std::thread::scope(|scope| {
             scope
                 .spawn(|| {
+                    assert!(!livelit_trace::enabled(), "no tracer on this thread");
+                    let _stray = span("stray");
+                    count(Counter::EvalSteps, 7);
+                })
+                .join()
+                .unwrap();
+            scope
+                .spawn(|| {
+                    let _own = install(&Tracer::deterministic(other_sink.clone()));
                     let _inner = span("inner");
                 })
                 .join()
@@ -89,21 +110,12 @@ fn spans_survive_the_big_stack_thread_hop() {
         });
     }
     let events = sink.events();
-    let outer_id = events
-        .iter()
-        .find_map(|e| match e {
-            Event::Begin { id, name, .. } if name == "outer" => Some(*id),
-            _ => None,
-        })
-        .unwrap();
-    let inner_parent = events
-        .iter()
-        .find_map(|e| match e {
-            Event::Begin { parent, name, .. } if name == "inner" => Some(*parent),
-            _ => None,
-        })
-        .unwrap();
-    assert_eq!(inner_parent, Some(outer_id));
+    assert_eq!(begins(&events), [("outer".to_string(), None)]);
+    assert!(
+        !events.iter().any(|e| matches!(e, Event::Count { .. })),
+        "{events:?}"
+    );
+    assert_eq!(begins(&other_sink.events()), [("inner".to_string(), None)]);
 }
 
 #[test]

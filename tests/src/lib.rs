@@ -73,6 +73,28 @@ impl XorShift {
     }
 }
 
+/// Runs `f` on a scoped thread with a 512 MiB stack and returns its result.
+///
+/// The tree evaluator (the spec oracle the suites compare against) and
+/// `normalize` recurse on redex depth; generated programs and adversarial
+/// terms can recurse deeper than a test thread's default stack allows.
+/// Production code never needs this: it evaluates on the environment
+/// machine, whose control state lives on an explicit frame arena.
+///
+/// # Panics
+///
+/// Panics if the thread cannot be spawned, or propagates a panic from `f`.
+pub fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(512 * 1024 * 1024)
+            .spawn_scoped(scope, f)
+            .expect("spawn big-stack thread")
+            .join()
+            .expect("big-stack thread panicked")
+    })
+}
+
 /// The test livelit context: simple livelits at several types, used to
 /// pepper generated programs with invocations.
 ///

@@ -7,12 +7,12 @@
 //! fuzz pass lives behind the `proptest` feature (see `proptest_fuzz.rs`).
 
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{run_on_big_stack, Evaluator};
+use hazel::lang::eval::Evaluator;
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::parse::{parse_typ, parse_uexp};
 use hazel::lang::pretty::{print_uexp, Doc};
 use hazel::prelude::*;
-use integration_tests::{test_phi, Gen, GenConfig, XorShift};
+use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
 
 const FUEL: u64 = 2_000_000;
 const CASES: u64 = 120;
@@ -26,9 +26,8 @@ fn evaluation_is_idempotent() {
         let (u, _) = g.program(&phi);
         let (e, _, _) = hazel::core::expand_typed(&phi, &Ctx::empty(), &u).expect("types");
         let (d, _, _) = elab_syn(&Ctx::empty(), &e).expect("elaborates");
-        let once = run_on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
-        let twice =
-            run_on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&once)).expect("terminates");
+        let once = on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
+        let twice = on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&once)).expect("terminates");
         assert_eq!(once, twice, "seed {seed}");
     }
 }
@@ -56,7 +55,7 @@ fn value_typing_agrees_with_internal_typing() {
         let mut g = Gen::new(seed);
         let (e, ty) = g.eexp_program();
         let (d, _, delta) = elab_syn(&Ctx::empty(), &e).expect("elaborates");
-        let result = run_on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
+        let result = on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
         // Hole-free results are values...
         assert!(hazel::lang::final_form::is_value(&result), "seed {seed}");
         // ...and the first-order ones satisfy value_has_typ exactly when
@@ -154,7 +153,7 @@ fn substitution_preserves_hole_names() {
         let (u, _) = g.program(&phi);
         let e = u.to_eexp().expect("no livelits");
         let (d, _, _) = elab_syn(&Ctx::empty(), &e).expect("elaborates");
-        let result = run_on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
+        let result = on_big_stack(|| Evaluator::with_fuel(FUEL).eval(&d)).expect("terminates");
         let before: std::collections::BTreeSet<HoleName> =
             d.hole_closures().iter().map(|(u, _)| *u).collect();
         let after: std::collections::BTreeSet<HoleName> =

@@ -1,5 +1,5 @@
-//! The environment machine must be unobservable: bit-identical to both
-//! substitution-based evaluators.
+//! The environment machine must be unobservable: bit-identical to the
+//! substitution-based tree evaluator, the spec oracle.
 //!
 //! `MachineEvaluator` replaces substitution with persistent environments,
 //! Rust recursion with an explicit frame stack, and re-evaluation of
@@ -7,31 +7,22 @@
 //! observable: over seeded random programs *and* adversarial hand-rolled
 //! internal terms (free variables, division by zero, ill-typed
 //! applications, unguarded recursion under tiny fuel budgets), the
-//! machine must agree with `StoreEvaluator` and the seed tree evaluator
-//! on values, recorded σ environments, the `EvalError` taxonomy, and the
-//! exact step counts — and the full pipeline must produce identical
-//! transcripts under either evaluator kind at pool sizes 1, 2, and 8.
-
-use std::sync::{Mutex, OnceLock};
+//! machine must agree with the tree evaluator on values, recorded σ
+//! environments, the `EvalError` taxonomy, and the exact step counts —
+//! and the full pipeline must produce identical transcripts at pool sizes
+//! 1, 2, and 8.
 
 use hazel::core::eval_splice;
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{EvalError, Evaluator, StoreEvaluator, DEFAULT_FUEL};
-use hazel::lang::machine::{set_eval_kind_override, EvalKind, MachineEvaluator};
+use hazel::lang::eval::{EvalError, Evaluator, DEFAULT_FUEL};
+use hazel::lang::machine::MachineEvaluator;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
 use hazel::sched::set_workers_override;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
-use integration_tests::{test_phi, Gen, GenConfig, XorShift};
+use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
 
-const CASES: u64 = 40;
-
-/// The evaluator-kind override is process-global; tests that flip it
-/// serialize on this lock (and restore the default before releasing it).
-fn kind_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
+const CASES: u64 = 60;
 
 fn gen_full(seed: u64) -> Gen {
     // Same population as the store property suite: holes exercise σ
@@ -55,26 +46,14 @@ fn elaborated(phi: &LivelitCtx, program: &UExp) -> Option<IExp> {
     Some(d)
 }
 
-/// Runs all three evaluators on `d` with the given fuel, returning
-/// (result, steps) for each — tree, store, machine, in that order.
-#[allow(clippy::type_complexity)]
-fn run_three(
-    d: &IExp,
-    fuel: u64,
-) -> (
-    (Result<IExp, EvalError>, u64),
-    (Result<IExp, EvalError>, u64),
-    (Result<IExp, EvalError>, u64),
-) {
+/// One evaluator's outcome and step count.
+type Run = (Result<IExp, EvalError>, u64);
+
+/// Runs the tree evaluator and the machine on `d` with the given fuel —
+/// tree, then machine.
+fn run_both(d: &IExp, fuel: u64) -> (Run, Run) {
     let mut tree_ev = Evaluator::with_fuel(fuel);
     let tree = tree_ev.eval(d);
-
-    let mut store = TermStore::new();
-    let t = store.intern_iexp(d);
-    let mut store_ev = StoreEvaluator::with_fuel(&mut store, fuel);
-    let interned = store_ev.eval(t);
-    let store_steps = store_ev.steps();
-    let interned = interned.map(|r| store.to_iexp(r));
 
     let mut mstore = TermStore::new();
     let mt = mstore.intern_iexp(d);
@@ -83,15 +62,11 @@ fn run_three(
     let machine_steps = machine.steps();
     let machined = machined.map(|r| mstore.to_iexp(r));
 
-    (
-        (tree, tree_ev.steps()),
-        (interned, store_steps),
-        (machined, machine_steps),
-    )
+    ((tree, tree_ev.steps()), (machined, machine_steps))
 }
 
 #[test]
-fn machine_matches_store_and_tree_on_random_programs() {
+fn machine_matches_tree_on_random_programs() {
     let phi = test_phi();
     let mut compared = 0u32;
     for seed in 0..CASES {
@@ -99,12 +74,9 @@ fn machine_matches_store_and_tree_on_random_programs() {
         let Some(d) = elaborated(&phi, &program) else {
             continue;
         };
-        let ((tree, tree_steps), (interned, store_steps), (machined, machine_steps)) =
-            run_three(&d, DEFAULT_FUEL);
+        let ((tree, tree_steps), (machined, machine_steps)) = run_both(&d, DEFAULT_FUEL);
         assert_eq!(machined, tree, "seed {seed}: machine vs tree diverge");
-        assert_eq!(machined, interned, "seed {seed}: machine vs store diverge");
         assert_eq!(machine_steps, tree_steps, "seed {seed}: steps diverge");
-        assert_eq!(machine_steps, store_steps, "seed {seed}: steps diverge");
         // Hole closures — σ included — agree exactly.
         if let (Ok(a), Ok(b)) = (&tree, &machined) {
             assert_eq!(
@@ -176,10 +148,10 @@ fn gen_adversarial(rng: &mut XorShift, depth: u32) -> IExp {
 
 #[test]
 fn machine_agrees_on_adversarial_terms_at_tiny_and_large_fuels() {
-    // The recursive *oracles* need a big stack for unguarded fix at fuel
-    // 5000 — the machine itself does not (see
+    // The recursive tree *oracle* needs a big stack for unguarded fix at
+    // fuel 5000 — the machine itself does not (see
     // `deep_redex_evaluates_on_a_small_stack`).
-    hazel::lang::eval::run_on_big_stack(machine_agrees_on_adversarial_terms_body);
+    on_big_stack(machine_agrees_on_adversarial_terms_body);
 }
 
 fn machine_agrees_on_adversarial_terms_body() {
@@ -189,27 +161,18 @@ fn machine_agrees_on_adversarial_terms_body() {
         let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(17));
         let d = gen_adversarial(&mut rng, 4);
         for fuel in [5u64, 50, 5_000] {
-            let ((tree, tree_steps), (interned, store_steps), (machined, machine_steps)) =
-                run_three(&d, fuel);
+            let ((tree, tree_steps), (machined, machine_steps)) = run_both(&d, fuel);
             assert_eq!(
                 machined, tree,
                 "seed {seed} fuel {fuel}: machine vs tree diverge on {d:?}"
             );
             assert_eq!(
-                machined, interned,
-                "seed {seed} fuel {fuel}: machine vs store diverge on {d:?}"
-            );
-            assert_eq!(
                 machine_steps, tree_steps,
                 "seed {seed} fuel {fuel}: machine vs tree steps diverge on {d:?}"
             );
-            assert_eq!(
-                machine_steps, store_steps,
-                "seed {seed} fuel {fuel}: machine vs store steps diverge on {d:?}"
-            );
             match &machined {
                 Err(EvalError::OutOfFuel) => {
-                    // The clamp: every evaluator lands exactly one past
+                    // The clamp: both evaluators land exactly one past
                     // the budget when fuel runs out.
                     assert_eq!(machine_steps, fuel + 1, "seed {seed} fuel {fuel}");
                     out_of_fuel_seen += 1;
@@ -236,7 +199,7 @@ fn invocations(e: &UExp) -> Vec<LivelitAp> {
     aps
 }
 
-/// One full pipeline run at the current pool size and evaluator kind:
+/// One full pipeline run at the current pool size:
 /// closure collection, per-hole σ lists in order, the resumed result, and
 /// every live splice result, rendered into one comparable transcript.
 fn run_case(program: &UExp) -> (String, Stats) {
@@ -270,9 +233,8 @@ fn run_case(program: &UExp) -> (String, Stats) {
     (transcript, sink.snapshot())
 }
 
-/// Counter totals that must agree at any pool size *within* one evaluator
-/// kind: everything except the documented nondeterministic scheduling
-/// quantities.
+/// Counter totals that must agree at any pool size: everything except
+/// the documented nondeterministic scheduling quantities.
 fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
     Counter::ALL
         .iter()
@@ -281,86 +243,35 @@ fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-/// Counter totals that must agree *across* evaluator kinds: the semantic
-/// quantities. Machine-internal work counters (`machine_*`), interner and
-/// substitution-memo traffic necessarily differ between a substituting
-/// evaluator and a non-substituting one.
-fn cross_kind_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
-    [
-        Counter::EvalSteps,
-        Counter::SplicesEvaluated,
-        Counter::SpliceCacheHits,
-        Counter::SpliceCacheMisses,
-        Counter::ClosuresCollected,
-    ]
-    .iter()
-    .map(|c| (c.as_str(), stats.counter(*c)))
-    .collect()
-}
-
 #[test]
-fn pipeline_transcripts_identical_across_kinds_and_pool_sizes() {
-    let _serial = kind_lock().lock().unwrap();
+fn pipeline_transcripts_identical_across_pool_sizes() {
     let phi = test_phi();
     let mut compared = 0u32;
     for seed in 0..12u64 {
         let (program, _) = gen_full(seed).program(&phi);
-
-        set_eval_kind_override(Some(EvalKind::Machine));
         set_workers_override(Some(1));
-        let (machine_seq, machine_seq_stats) = run_case(&program);
+        let (sequential, seq_stats) = run_case(&program);
         for workers in [2usize, 8] {
             set_workers_override(Some(workers));
             let (parallel, par_stats) = run_case(&program);
             assert_eq!(
-                machine_seq, parallel,
-                "seed {seed}: machine transcript diverges at {workers} workers"
+                sequential, parallel,
+                "seed {seed}: transcript diverges at {workers} workers"
             );
             assert_eq!(
-                deterministic_totals(&machine_seq_stats),
+                deterministic_totals(&seq_stats),
                 deterministic_totals(&par_stats),
-                "seed {seed}: machine counters diverge at {workers} workers"
+                "seed {seed}: counters diverge at {workers} workers"
             );
         }
-
-        set_eval_kind_override(Some(EvalKind::Store));
-        set_workers_override(Some(1));
-        let (store_seq, store_seq_stats) = run_case(&program);
-        for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
-            let (parallel, par_stats) = run_case(&program);
-            assert_eq!(
-                store_seq, parallel,
-                "seed {seed}: store transcript diverges at {workers} workers"
-            );
-            assert_eq!(
-                deterministic_totals(&store_seq_stats),
-                deterministic_totals(&par_stats),
-                "seed {seed}: store counters diverge at {workers} workers"
-            );
-        }
-
-        // Across kinds: identical results (σ, resumed values, every
-        // splice) and identical semantic counters.
-        assert_eq!(
-            machine_seq, store_seq,
-            "seed {seed}: machine and store transcripts diverge"
-        );
-        assert_eq!(
-            cross_kind_totals(&machine_seq_stats),
-            cross_kind_totals(&store_seq_stats),
-            "seed {seed}: semantic counters diverge across kinds"
-        );
         compared += 1;
     }
     set_workers_override(None);
-    set_eval_kind_override(None);
     assert!(compared > 0);
 }
 
 #[test]
-fn switching_evaluator_kinds_does_not_double_miss_the_splice_cache() {
-    let _serial = kind_lock().lock().unwrap();
+fn repeated_splice_evaluation_misses_the_splice_cache_once() {
     let phi = test_phi();
     // let baseline = 57 in $sum2(baseline + 50, 1) — one livelit with a
     // splice that uses a client variable, so evaluation is non-trivial.
@@ -395,23 +306,21 @@ fn switching_evaluator_kinds_does_not_double_miss_the_splice_cache() {
             let sink = StatsSink::new();
             let tracer = Tracer::deterministic(sink.clone());
             let _guard = hazel::trace::install(&tracer);
-            // Machine evaluates the splice: exactly one cache miss.
-            set_eval_kind_override(Some(EvalKind::Machine));
+            // The first evaluation misses; the repeats must hit, since the
+            // key is (interned splice, σ id).
             let first = eval_splice(&phi, &collection, ap.hole, 0, &splice.exp, &splice.ty);
-            // Switching kinds must hit the same cache — the key is
-            // (interned splice, σ id), independent of the evaluator.
-            set_eval_kind_override(Some(EvalKind::Store));
             let second = eval_splice(&phi, &collection, ap.hole, 0, &splice.exp, &splice.ty);
-            set_eval_kind_override(Some(EvalKind::Machine));
             let third = eval_splice(&phi, &collection, ap.hole, 0, &splice.exp, &splice.ty);
-            set_eval_kind_override(None);
-            assert_eq!(first, second, "results must not depend on the kind");
-            assert_eq!(first, third, "results must not depend on the kind");
+            assert_eq!(
+                first, second,
+                "a cache hit must return the evaluated result"
+            );
+            assert_eq!(first, third, "a cache hit must return the evaluated result");
             let stats = sink.snapshot();
             assert_eq!(
                 stats.counter(Counter::SpliceCacheMisses),
                 1,
-                "switching evaluator kinds double-missed the splice cache"
+                "repeated evaluation missed the splice cache more than once"
             );
             assert_eq!(stats.counter(Counter::SpliceCacheHits), 2);
             checked += 1;
@@ -424,8 +333,8 @@ fn switching_evaluator_kinds_does_not_double_miss_the_splice_cache() {
 #[test]
 fn deep_redex_evaluates_on_a_small_stack() {
     // A 10k-deep application chain: (λx. x + 10000) ((λx. x + 9999) (…
-    // (λx. x + 1) 0 …)). The substitution evaluators need a big-stack
-    // thread for this; the machine's control state lives on its frame
+    // (λx. x + 1) 0 …)). The tree evaluator needs a big-stack thread
+    // for this; the machine's control state lives on its frame
     // arena, so a 64 KiB thread stack must suffice.
     let depth: i64 = 10_000;
     let built = std::thread::Builder::new()

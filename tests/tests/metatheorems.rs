@@ -14,18 +14,18 @@
 //! needs no property-testing framework.
 
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{fill, normalize, run_on_big_stack, Evaluator};
+use hazel::lang::eval::{fill, normalize, Evaluator};
 use hazel::lang::final_form::{is_final, is_indet, is_value};
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::typing::syn;
 use hazel::prelude::*;
-use integration_tests::{test_phi, Gen, GenConfig};
+use integration_tests::{on_big_stack, test_phi, Gen, GenConfig};
 
 const FUEL: u64 = 2_000_000;
 const CASES: u64 = 160;
 
 fn eval_big(d: &IExp) -> Result<IExp, hazel::lang::eval::EvalError> {
-    run_on_big_stack(|| Evaluator::with_fuel(FUEL).eval(d))
+    on_big_stack(|| Evaluator::with_fuel(FUEL).eval(d))
 }
 
 /// Theorem 4.1 (Typed Elaboration): if Γ ⊢ e : τ then e elaborates to
@@ -103,8 +103,8 @@ fn thm_4_9_post_collection_resumption() {
         // Equality holds up to normalization of residual redexes in
         // positions evaluation cannot reach (stuck-branch bodies) — see
         // `hazel::lang::eval::normalize`.
-        let n1 = run_on_big_stack(|| normalize(&d1, FUEL)).expect("normalizes");
-        let n2 = run_on_big_stack(|| normalize(&d2, FUEL)).expect("normalizes");
+        let n1 = on_big_stack(|| normalize(&d1, FUEL)).expect("normalizes");
+        let n2 = on_big_stack(|| normalize(&d2, FUEL)).expect("normalizes");
         assert_eq!(n1, n2, "seed {seed}");
     }
 }
@@ -178,8 +178,8 @@ fn evaluation_commutes_with_hole_filling() {
         }
         let b = eval_big(&refilled).expect("terminates");
 
-        let na = run_on_big_stack(|| normalize(&a, FUEL)).expect("normalizes");
-        let nb = run_on_big_stack(|| normalize(&b, FUEL)).expect("normalizes");
+        let na = on_big_stack(|| normalize(&a, FUEL)).expect("normalizes");
+        let nb = on_big_stack(|| normalize(&b, FUEL)).expect("normalizes");
         assert_eq!(na, nb, "seed {seed}");
     }
 }

@@ -1,21 +1,22 @@
 //! The interned pipeline must be bit-identical to the seed tree pipeline.
 //!
 //! The hash-consed `TermStore` re-implements substitution (path-copying
-//! with free-variable skipping and a memo table) and evaluation
-//! (`StoreEvaluator`), and the expansion cache short-circuits premises 2–5
+//! with free-variable skipping and a memo table), the environment machine
+//! evaluates over it, and the expansion cache short-circuits premises 2–5
 //! of `ELivelit`. None of that may be observable: over seeded random
-//! programs, parse → expand → elaborate → evaluate → closure collection →
-//! live splice evaluation must produce results identical to the seed
-//! semantics — including the recorded σ inside hole closures (`IExp`
-//! equality on results compares closures structurally) and the exact
-//! evaluation step counts.
+//! programs, parse → expand → elaborate → closure collection → live
+//! splice evaluation must produce results identical to the seed
+//! semantics, including the recorded σ inside hole closures (`IExp`
+//! equality on results compares closures structurally). The machine's
+//! bit-identity with the tree evaluator on the same programs (values, σ
+//! and exact step counts) is `machine_props`' subject.
 
 use hazel::core::{eval_splice, eval_splice_in_env};
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{Evaluator, StoreEvaluator, DEFAULT_FUEL};
+use hazel::lang::eval::DEFAULT_FUEL;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
-use integration_tests::{test_phi, Gen, GenConfig};
+use integration_tests::{on_big_stack, test_phi, Gen, GenConfig};
 
 const CASES: u64 = 60;
 
@@ -40,38 +41,6 @@ fn elaborated(phi: &LivelitCtx, program: &UExp) -> Option<IExp> {
     let (expanded, _, _) = expand_typed(phi, &Ctx::empty(), program).ok()?;
     let (d, _, _) = elab_syn(&Ctx::empty(), &expanded).ok()?;
     Some(d)
-}
-
-#[test]
-fn interned_eval_matches_seed_eval_bit_identically() {
-    let phi = test_phi();
-    for seed in 0..CASES {
-        let (program, _) = gen_full(seed).program(&phi);
-        let Some(d) = elaborated(&phi, &program) else {
-            continue;
-        };
-
-        let mut tree_eval = Evaluator::with_fuel(DEFAULT_FUEL);
-        let tree = tree_eval.eval(&d);
-
-        let mut store = TermStore::new();
-        let t = store.intern_iexp(&d);
-        let mut store_eval = StoreEvaluator::with_fuel(&mut store, DEFAULT_FUEL);
-        let interned = store_eval.eval(t);
-        let steps = store_eval.steps();
-        let interned = interned.map(|r| store.to_iexp(r));
-
-        assert_eq!(tree, interned, "seed {seed}: results diverge");
-        assert_eq!(tree_eval.steps(), steps, "seed {seed}: step counts diverge");
-        // Hole closures — σ included — agree exactly.
-        if let (Ok(a), Ok(b)) = (&tree, &interned) {
-            assert_eq!(
-                a.hole_closures(),
-                b.hole_closures(),
-                "seed {seed}: σ diverge"
-            );
-        }
-    }
 }
 
 #[test]
@@ -133,7 +102,8 @@ fn invocations(e: &UExp) -> Vec<LivelitAp> {
 #[test]
 fn interned_live_splice_eval_matches_seed_path() {
     // eval_splice (the interned fast path over the collection's shared
-    // term store) against eval_splice_in_env (the seed tree path), for
+    // term store) against eval_splice_in_env (the unbatched reference
+    // path: tree-level σ realization, then one `eval_traced`), for
     // every collected closure of every invocation and every one of its
     // splices — results, indeterminacy classification, absence (`None`),
     // and errors must all agree.
@@ -179,11 +149,11 @@ fn interned_live_splice_eval_matches_seed_path() {
 
 #[test]
 fn resume_result_matches_full_evaluation_through_the_store() {
-    // Theorem 4.9 end-to-end, with both sides now running the interned
-    // evaluator internally: fill-and-resume equals expand-then-evaluate.
+    // Theorem 4.9 end-to-end, with both sides running the environment
+    // machine internally: fill-and-resume equals expand-then-evaluate.
     // As in the seed metatheorem test, equality holds up to normalization
     // of residual redexes in positions evaluation cannot reach.
-    use hazel::lang::eval::{normalize, run_on_big_stack};
+    use hazel::lang::eval::normalize;
     let phi = test_phi();
     for seed in 0..CASES {
         let (program, _) = gen_full(seed).program(&phi);
@@ -194,8 +164,8 @@ fn resume_result_matches_full_evaluation_through_the_store() {
         let full = hazel::core::cc::eval_full(&phi, &program, DEFAULT_FUEL);
         match (resumed, full) {
             (Ok(d1), Ok(d2)) => {
-                let n1 = run_on_big_stack(|| normalize(&d1, DEFAULT_FUEL)).expect("normalizes");
-                let n2 = run_on_big_stack(|| normalize(&d2, DEFAULT_FUEL)).expect("normalizes");
+                let n1 = on_big_stack(|| normalize(&d1, DEFAULT_FUEL)).expect("normalizes");
+                let n2 = on_big_stack(|| normalize(&d2, DEFAULT_FUEL)).expect("normalizes");
                 assert_eq!(n1, n2, "seed {seed}: resumption diverges");
             }
             (r, f) => assert_eq!(
