@@ -5,11 +5,11 @@
 //! of references the parameterized expansion makes to it. The original
 //! pass recomputed that with an ad-hoc recursive walk per splice —
 //! O(splices × |expansion|) per invocation, from scratch on every
-//! analysis run. Here the counts are instead read off the
-//! [`TermFacts`](super::facts::TermFacts) of the expansion's hash-consed
-//! skeleton: interning is shared with everything else that interns the
-//! same expansion, the per-term facts are memoized by `TermId`, and all
-//! splices of an invocation are answered by one bottom-up pass.
+//! analysis run. Here the counts are instead read off the [`TermFacts`]
+//! of the expansion's hash-consed skeleton: interning is shared with
+//! everything else that interns the same expansion, the per-term facts
+//! are memoized by `TermId`, and all splices of an invocation are
+//! answered by one bottom-up pass.
 //!
 //! The store and memo are thread-local rather than global so parallel
 //! analysis tasks never contend (and never observe each other's memo

@@ -683,12 +683,12 @@ struct RetainedResult {
     warm: hazel::trace::HistogramSnapshot,
     cold: hazel::trace::HistogramSnapshot,
     /// Mean `engine.views` span time per warm drag — the render phase
-    /// alone, which the retained arena is supposed to hold near-flat
+    /// alone, which the retained views are supposed to hold near-flat
     /// while the surrounding Ω-rebuild/resume work stays O(doc).
     views_mean_ns: u64,
-    /// Median time for the legacy pipeline the arena replaced: rebuild
-    /// every view from scratch, then whole-tree diff each against the
-    /// previous render.
+    /// Median time for the legacy pipeline retained views replaced:
+    /// rebuild every view from scratch, then whole-tree diff each against
+    /// the previous render.
     legacy_views_median_ns: u64,
     patch_bytes: usize,
     full_bytes: usize,
@@ -721,11 +721,11 @@ fn multi_slider_doc(n: usize) -> (LivelitRegistry, Document) {
     hazel::editor::open_module(registry, &src).expect("module")
 }
 
-/// B17 — the retained view arena: render/reconcile latency and patch
-/// payload size vs. document size on a multi-slider document. The warm
-/// curve drags slider 0 through the incremental fast path — the other
-/// `n-1` retained views must be memo hits, so latency stays near-flat in
-/// `n` and the patch payload is proportional to the *changed* nodes. The
+/// B17 — retained views: render latency and patch payload size vs.
+/// document size on a multi-slider document. The warm curve drags
+/// slider 0 through the incremental fast path — the other `n-1`
+/// retained views must be memo hits, so latency stays near-flat in `n`
+/// and the patch payload is proportional to the *changed* nodes. The
 /// cold curve edits a splice (a skeleton change), forcing a fresh
 /// collection whose new interning lineage conservatively misses every
 /// memo. The reuse counters come from a separate traced pass so tracer
@@ -755,12 +755,12 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
             "model edits must stay on the fast path"
         );
 
-        // Patch payload of the last drag's stored reconcile output vs.
+        // Patch payload of the last drag's stored patch script vs.
         // the full tree it updates — the wire cost a patch-applying
         // client pays, in the same encoding `hazel serve` ships.
         let delta = engine
             .view_delta(HoleName(0))
-            .expect("dragged slider has a retained root");
+            .expect("dragged slider has a retained snapshot");
         let patch_bytes = {
             let payload = hazel::server::json::Json::Arr(
                 delta
@@ -810,7 +810,7 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
         let legacy_views_median_ns = {
             let output = engine.run(&registry, &doc).expect("pipeline");
             let mut samples = sample(8, || {
-                let (legacy_views, _) = hazel::editor::compute_views_from_scratch(
+                let (legacy_views, _) = integration_tests::compute_views_from_scratch(
                     &registry,
                     &doc,
                     &output.collection,

@@ -301,30 +301,14 @@ fn expand_invocation_inner(
     }
 
     // 3–4. Expansion and decoding.
-    let pexpansion = match &def.expand {
-        ExpandFn::Object(d_expand, scheme) => {
-            let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(ap.model.clone()));
-            let d_encoded =
-                eval_traced(&applied, DEFAULT_FUEL).map_err(|error| ExpandError::ExpandEval {
-                    livelit: ap.name.clone(),
-                    error,
-                })?;
-            let decoded = match scheme {
-                crate::def::EncodingScheme::Text => decode(&d_encoded),
-                crate::def::EncodingScheme::Structural => {
-                    crate::encoding_structural::decode(&d_encoded)
-                }
-            };
-            decoded.map_err(|error| ExpandError::Decode {
-                livelit: ap.name.clone(),
-                error,
-            })?
+    let pexpansion = run_expand_fn(&def.expand, &ap.model).map_err(|e| {
+        let livelit = ap.name.clone();
+        match e {
+            ExpandFnError::Eval(error) => ExpandError::ExpandEval { livelit, error },
+            ExpandFnError::Decode(error) => ExpandError::Decode { livelit, error },
+            ExpandFnError::Native(message) => ExpandError::NativeExpand { livelit, message },
         }
-        ExpandFn::Native(f) => f(&ap.model).map_err(|message| ExpandError::NativeExpand {
-            livelit: ap.name.clone(),
-            message,
-        })?,
-    };
+    })?;
 
     // 5. Expansion validation: context independence (closedness) ...
     let free = pexpansion.free_vars();
@@ -381,6 +365,57 @@ fn expand_invocation_inner(
         },
         key,
     ))
+}
+
+/// Why a livelit's expand function failed to produce a parameterized
+/// expansion (steps 3–4 of `ELivelit`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExpandFnError {
+    /// Evaluating `d_expand d_model` failed.
+    Eval(EvalError),
+    /// The encoded expansion failed to decode.
+    Decode(DecodeError),
+    /// A native expansion function reported an error.
+    Native(String),
+}
+
+impl fmt::Display for ExpandFnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExpandFnError::Eval(e) => write!(f, "{e}"),
+            ExpandFnError::Decode(e) => write!(f, "{e}"),
+            ExpandFnError::Native(message) => f.write_str(message),
+        }
+    }
+}
+
+/// Steps 3–4 of `ELivelit`: applies an expand function to a model. An
+/// object-language function is evaluated at [`DEFAULT_FUEL`] and its
+/// result decoded by its [`crate::def::EncodingScheme`]; a native one
+/// returns the parameterized expansion directly. The result is not yet
+/// validated (step 5).
+///
+/// The machine runs inline on an explicit frame arena, so a deeply
+/// recursive expand function cannot overflow the host stack.
+///
+/// # Errors
+///
+/// See [`ExpandFnError`].
+pub fn run_expand_fn(expand: &ExpandFn, model: &IExp) -> Result<EExp, ExpandFnError> {
+    match expand {
+        ExpandFn::Object(d_expand, scheme) => {
+            let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(model.clone()));
+            let d_encoded = eval_traced(&applied, DEFAULT_FUEL).map_err(ExpandFnError::Eval)?;
+            match scheme {
+                crate::def::EncodingScheme::Text => decode(&d_encoded),
+                crate::def::EncodingScheme::Structural => {
+                    crate::encoding_structural::decode(&d_encoded)
+                }
+            }
+            .map_err(ExpandFnError::Decode)
+        }
+        ExpandFn::Native(f) => f(model).map_err(ExpandFnError::Native),
+    }
 }
 
 /// [`expand_invocation`] plus the elaboration of the parameterized

@@ -53,8 +53,8 @@ pub struct EngineOutput {
     /// Livelit failures marked as non-empty holes during the pre-pass.
     pub errors: Vec<MarkedError>,
     /// The computed view for each livelit instance, under its selected
-    /// closure. Shared with the retained arena's snapshot, so an unchanged
-    /// view is an `Arc` clone, not a tree copy.
+    /// closure. Shared with the retainer's snapshot, so an unchanged view
+    /// is an `Arc` clone, not a tree copy.
     pub views: BTreeMap<HoleName, Arc<Html<Action>>>,
     /// View-computation failures, displayed in place of the GUI (not
     /// semantic errors, Sec. 5.1).
@@ -222,8 +222,9 @@ pub(crate) fn run_with_fuel_in(
 ///
 /// Views are built through `retainer`: an instance whose [`view_key`]
 /// matches its retained one reuses the retained snapshot without
-/// recomputing anything; otherwise the fresh view is reconciled against
-/// the retained tree (patching only changed nodes) or inserted anew.
+/// recomputing anything; otherwise the fresh view is diffed against the
+/// retained snapshot (storing a script of only the changed nodes) or
+/// retained anew.
 pub(crate) fn recompute_views(
     registry: &LivelitRegistry,
     doc: &Document,
@@ -309,46 +310,9 @@ pub(crate) fn recompute_views(
         if rebuilt > 0 {
             livelit_trace::count(livelit_trace::Counter::ViewNodesRebuilt, rebuilt);
         }
-        let arena_live = retainer.arena_live() as u64;
-        if arena_live > 0 {
-            livelit_trace::count(livelit_trace::Counter::ViewArenaLive, arena_live);
+        let retained = retainer.retained_nodes();
+        if retained > 0 {
+            livelit_trace::count(livelit_trace::Counter::ViewArenaLive, retained);
         }
     }
-}
-
-/// The legacy rebuild-everything view pass: computes every instance's view
-/// from scratch with no retained state. This is the differential oracle
-/// the retained pipeline is validated against by the `view_arena_props`
-/// suite on random edit scripts.
-pub fn compute_views_from_scratch(
-    registry: &LivelitRegistry,
-    doc: &Document,
-    collection: &Collection,
-    fuel: u64,
-) -> (
-    BTreeMap<HoleName, Html<Action>>,
-    BTreeMap<HoleName, CmdError>,
-) {
-    let phi = registry.phi();
-    let mut views = BTreeMap::new();
-    let mut view_errors = BTreeMap::new();
-    for u in doc.livelit_holes() {
-        let Some(instance) = doc.instance(u) else {
-            continue;
-        };
-        let gamma = collection
-            .delta
-            .get(u)
-            .map(|hyp| hyp.ctx.clone())
-            .unwrap_or_else(|| doc.prelude_ctx());
-        match instance.view_live(&phi, &gamma, collection, fuel) {
-            Ok(view) => {
-                views.insert(u, view);
-            }
-            Err(e) => {
-                view_errors.insert(u, e);
-            }
-        }
-    }
-    (views, view_errors)
 }

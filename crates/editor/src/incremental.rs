@@ -44,9 +44,9 @@ pub struct IncrementalEngine {
     /// program versions share all unchanged subtrees.
     store: TermStore,
     cached: Option<Cached>,
-    /// Retained view trees, kept across both the fast and full paths so
-    /// unchanged instances reuse their memoized views and changed ones
-    /// reconcile in place.
+    /// Retained view snapshots, kept across both the fast and full paths
+    /// so unchanged instances reuse their memoized views and changed ones
+    /// diff against what was last published.
     retainer: ViewRetainer,
     /// Statistics: how many runs took the incremental path.
     pub incremental_hits: usize,
@@ -140,8 +140,8 @@ impl IncrementalEngine {
                         Ok(result) => {
                             output.result = result;
                             // Views depend on models and environments;
-                            // recompute them (through the retained arena,
-                            // so unchanged instances are memo hits).
+                            // recompute them (through the retainer, so
+                            // unchanged instances are memo hits).
                             crate::engine::recompute_views(
                                 registry,
                                 doc,
@@ -168,7 +168,7 @@ impl IncrementalEngine {
         // Full path. The retainer is threaded through so retained views
         // survive full recollection too: an instance whose memo key still
         // matches (e.g. one with no collected σ) stays a memo hit, and
-        // changed ones reconcile against their retained trees.
+        // changed ones diff against their retained snapshots.
         let output = run_with_fuel_in(registry, doc, self.fuel, &mut self.retainer)?;
         self.full_runs += 1;
         livelit_trace::count(livelit_trace::Counter::IncrementalFullRuns, 1);
@@ -180,7 +180,7 @@ impl IncrementalEngine {
     }
 
     /// Drops the cache (e.g. when the registry changes). Also drops every
-    /// retained view tree — registry changes can alter view *functions*,
+    /// retained view snapshot — registry changes can alter view *functions*,
     /// which memo keys do not capture.
     pub fn invalidate(&mut self) {
         self.cached = None;
@@ -194,9 +194,9 @@ impl IncrementalEngine {
         self.retainer.delta(u)
     }
 
-    /// Live nodes in this engine's retained view arena.
-    pub fn view_arena_live(&self) -> usize {
-        self.retainer.arena_live()
+    /// Nodes in this engine's retained view snapshots.
+    pub fn retained_view_nodes(&self) -> u64 {
+        self.retainer.retained_nodes()
     }
 }
 

@@ -35,9 +35,7 @@ pub mod views;
 pub use actions::{apply_action, replay, EditAction, EditScript, Recorder, ReplayError};
 pub use analysis::{analyze_document, IncrementalAnalyzer};
 pub use doc::{DocError, Document, PreludeBinding};
-pub use engine::{
-    compute_views_from_scratch, run, run_with_fuel, EngineError, EngineOutput, MarkedError,
-};
+pub use engine::{run, run_with_fuel, EngineError, EngineOutput, MarkedError};
 pub use incremental::IncrementalEngine;
 pub use inspect::{describe_diagnostics, describe_livelit, describe_splice, describe_timings};
 pub use module::{open_module, ModuleError, ObjectLivelit};

@@ -3,7 +3,7 @@
 //!
 //! Object-language livelit declarations carry only the semantic core
 //! (model, init, expand — the calculus's definition form, Sec. 4.2.1); the
-//! paper "omit[s] the logic related to view computations and actions, which
+//! paper "omit\[s\] the logic related to view computations and actions, which
 //! are tied to a particular UI framework". The editor therefore hosts them
 //! behind [`ObjectLivelit`], a generic GUI that shows the current model,
 //! an editor per parameter, and a live preview of the expansion — enough
@@ -22,6 +22,7 @@ use hazel_lang::typ::Typ;
 use hazel_lang::value::value_has_typ;
 use hazel_lang::IExp;
 use livelit_core::def::ExpandFn;
+use livelit_core::expansion::run_expand_fn;
 use livelit_core::module::{CheckedDecl, DeclError};
 use livelit_mvu::html::tags::*;
 use livelit_mvu::html::{Dim, Html};
@@ -43,27 +44,7 @@ impl ObjectLivelit {
     }
 
     fn run_expand(&self, model: &Model) -> Result<EExp, String> {
-        match &self.checked.def.expand {
-            ExpandFn::Object(d_expand, scheme) => {
-                let applied = IExp::Ap(Box::new(d_expand.clone()), Box::new(model.clone()));
-                // The machine runs inline on an explicit frame arena, so
-                // a deeply recursive expand function cannot overflow the
-                // host stack.
-                let encoded =
-                    hazel_lang::eval::eval_traced(&applied, hazel_lang::eval::DEFAULT_FUEL)
-                        .map_err(|e| e.to_string())?;
-                match scheme {
-                    livelit_core::def::EncodingScheme::Text => {
-                        livelit_core::encoding::decode(&encoded).map_err(|e| e.to_string())
-                    }
-                    livelit_core::def::EncodingScheme::Structural => {
-                        livelit_core::encoding_structural::decode(&encoded)
-                            .map_err(|e| e.to_string())
-                    }
-                }
-            }
-            ExpandFn::Native(f) => f(model),
-        }
+        run_expand_fn(&self.checked.def.expand, model).map_err(|e| e.to_string())
     }
 }
 

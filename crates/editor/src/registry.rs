@@ -64,7 +64,7 @@ impl LivelitRegistry {
     /// Registers a livelit implementation under its own name, after
     /// linting its calculus-level definition.
     ///
-    /// Registration is where Hazel "check[s] that the definition is
+    /// Registration is where Hazel "check\[s\] that the definition is
     /// well-formed" rather than at every invocation; a definition that
     /// fails an error-severity lint (`LL0301`, `LL0303`, `LL0304`) is
     /// rejected with the findings instead of panicking later in [`phi`].

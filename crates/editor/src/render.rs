@@ -190,15 +190,7 @@ pub fn render_session(
             }
             continue;
         };
-        let resolver = InstanceResolver {
-            instance,
-            phi: &phi,
-            collection: &out.collection,
-            hole: u,
-            env_index: instance
-                .selected_env
-                .min(out.collection.envs_for(u).len().saturating_sub(1)),
-        };
+        let resolver = InstanceResolver::selected(instance, &phi, &out.collection, u);
         match instance.layout() {
             livelit_mvu::LivelitLayout::Inline => {
                 let rendered = render_view(view, &resolver);
@@ -236,13 +228,7 @@ pub fn render_dashboard(
         let (Some(instance), Some(view)) = (doc.instance(u), out.views.get(&u)) else {
             continue;
         };
-        let resolver = InstanceResolver {
-            instance,
-            phi: &phi,
-            collection: &out.collection,
-            hole: u,
-            env_index: 0,
-        };
+        let resolver = InstanceResolver::selected(instance, &phi, &out.collection, u);
         lines.extend(render_boxed(&instance.name().to_string(), view, &resolver));
         lines.push(String::new());
     }
@@ -267,6 +253,28 @@ pub struct InstanceResolver<'a> {
     pub hole: hazel_lang::ident::HoleName,
     /// Which collected closure to evaluate under.
     pub env_index: usize,
+}
+
+impl<'a> InstanceResolver<'a> {
+    /// A resolver evaluating under the instance's selected closure (as its
+    /// view does), clamped to the closures collected for `hole`.
+    pub(crate) fn selected(
+        instance: &'a livelit_mvu::host::Instance,
+        phi: &'a livelit_core::def::LivelitCtx,
+        collection: &'a livelit_core::cc::Collection,
+        hole: hazel_lang::ident::HoleName,
+    ) -> InstanceResolver<'a> {
+        let env_index = instance
+            .selected_env
+            .min(collection.envs_for(hole).len().saturating_sub(1));
+        InstanceResolver {
+            instance,
+            phi,
+            collection,
+            hole,
+            env_index,
+        }
+    }
 }
 
 impl SpliceResolver for InstanceResolver<'_> {

@@ -1,13 +1,11 @@
-//! Retained livelit views: the arena-backed render pipeline.
+//! Retained livelit views: memoized views and stored patch scripts.
 //!
-//! The engine used to rebuild every instance's `Html` tree from scratch
-//! on each run and leave diffing to downstream consumers. The
-//! [`ViewRetainer`] replaces that: each livelit instance keeps a retained
-//! root in a shared [`ViewArena`], a [`ViewKey`] memoizes the inputs its
-//! view was computed from, and renders either hit the memo (the snapshot
-//! is reused without recomputing anything) or reconcile the freshly
-//! computed tree against the retained one, emitting a patch script
-//! proportional to the *changed* nodes.
+//! The [`ViewRetainer`] keeps, per livelit instance, the view tree it
+//! last published (its *snapshot*) and a [`ViewKey`] over the inputs that
+//! view was computed from. A render either hits the memo (the snapshot is
+//! reused without recomputing anything) or computes a fresh view and
+//! diffs it against the snapshot, storing the patch script — which is
+//! proportional to the *changed* nodes — for the server to ship.
 //!
 //! ## Memo keys
 //!
@@ -29,14 +27,14 @@
 //!
 //! ## Generations
 //!
-//! Each retained root carries a generation stamp from one retainer-wide
-//! monotonic counter, bumped exactly when a reconcile pass emitted a
-//! non-empty patch script. The server acks the generation a client last
+//! Each snapshot carries a generation stamp from one retainer-wide
+//! monotonic counter, bumped exactly when a diff against the previous
+//! snapshot was non-empty. The server acks the generation a client last
 //! applied: a render whose retained generation equals the acked one ships
-//! an empty patch list; one exactly one step ahead ships the stored
-//! reconcile output; anything else falls back to the full tree. The
-//! counter is never reset — [`ViewRetainer::clear`] keeps it — so stamps
-//! never alias across invalidations.
+//! an empty patch list; one exactly one step ahead ships the stored patch
+//! script; anything else falls back to the full tree. The counter is
+//! never reset — [`ViewRetainer::clear`] keeps it — so stamps never alias
+//! across invalidations.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,13 +43,11 @@ use hazel_lang::ident::{HoleName, LivelitName};
 use hazel_lang::typ::Typ;
 use hazel_lang::unexpanded::UExp;
 use livelit_core::cc::Collection;
-use livelit_mvu::arena::{ViewArena, ViewId};
 use livelit_mvu::host::Instance;
 use livelit_mvu::html::Html;
 use livelit_mvu::livelit::{Action, Model};
-use livelit_mvu::reconcile::reconcile;
 use livelit_mvu::splice::SpliceRef;
-use livelit_mvu::Patch;
+use livelit_mvu::{diff_into, rebuilt_nodes, Patch};
 
 /// Everything a livelit's view output can depend on (see the module docs
 /// for the soundness argument). Two equal keys guarantee bit-identical
@@ -95,24 +91,22 @@ pub fn view_key(instance: &Instance, collection: &Collection, fuel: u64) -> View
     }
 }
 
-/// What the server needs to turn a retained root into a render reply.
+/// What the server needs to turn a retained snapshot into a render reply.
 #[derive(Debug, Clone)]
 pub struct ViewDelta {
-    /// The generation of the current retained tree.
+    /// The generation of the current snapshot.
     pub gen: u64,
-    /// The generation the tree had before its last non-empty reconcile.
+    /// The generation the snapshot had before its last non-empty diff.
     pub prev_gen: u64,
-    /// The patch script of that last reconcile: exactly
-    /// `diff(tree@prev_gen, tree@gen)`.
+    /// The patch script of that last diff: exactly
+    /// `diff(snapshot@prev_gen, snapshot@gen)`.
     pub last_patches: Arc<Vec<Patch<Action>>>,
 }
 
 /// One instance's retained state.
 struct Retained {
-    root: ViewId,
     key: ViewKey,
-    /// Node count of the retained tree (cached for O(1) memo-hit
-    /// accounting).
+    /// Node count of the snapshot (cached for O(1) memo-hit accounting).
     size: u64,
     gen: u64,
     prev_gen: u64,
@@ -120,17 +114,14 @@ struct Retained {
     last_patches: Arc<Vec<Patch<Action>>>,
 }
 
-/// The per-engine retained view store: one arena shared by every
-/// instance's retained root, plus memo keys, generation stamps, and a
-/// reusable patch scratch buffer.
+/// The per-engine retained view store: each instance's snapshot, memo
+/// key, and generation stamps, plus a reusable patch scratch buffer.
 pub struct ViewRetainer {
-    arena: ViewArena<Action>,
     retained: BTreeMap<HoleName, Retained>,
     /// Monotonic generation source; never reset (see module docs).
     next_gen: u64,
-    /// Scratch buffer reconcile passes write into, reused across
-    /// instances and renders so steady-state renders with no patches
-    /// allocate nothing.
+    /// Scratch buffer diffs write into, reused across instances and
+    /// renders so steady-state renders with no patches allocate nothing.
     scratch: Vec<Patch<Action>>,
     reused: u64,
     rebuilt: u64,
@@ -140,7 +131,6 @@ impl ViewRetainer {
     /// An empty retainer.
     pub fn new() -> ViewRetainer {
         ViewRetainer {
-            arena: ViewArena::new(),
             retained: BTreeMap::new(),
             next_gen: 1,
             scratch: Vec::new(),
@@ -160,14 +150,14 @@ impl ViewRetainer {
         (self.reused, self.rebuilt)
     }
 
-    /// Live nodes currently retained in the arena.
-    pub fn arena_live(&self) -> usize {
-        self.arena.live_count()
+    /// Nodes currently retained across every instance's snapshot.
+    pub fn retained_nodes(&self) -> u64 {
+        self.retained.values().map(|entry| entry.size).sum()
     }
 
     /// Returns the retained snapshot when `key` matches the one the
     /// retained view was computed from — the caller then skips view
-    /// computation entirely. The whole retained subtree counts as reused.
+    /// computation entirely. The whole snapshot counts as reused.
     pub fn memo_hit(&mut self, u: HoleName, key: &ViewKey) -> Option<Arc<Html<Action>>> {
         let entry = self.retained.get(&u)?;
         if entry.key != *key {
@@ -177,23 +167,23 @@ impl ViewRetainer {
         Some(Arc::clone(&entry.snapshot))
     }
 
-    /// Installs a freshly computed view: reconciles it against the
-    /// retained tree when one exists (bumping the generation exactly when
-    /// the patch script is non-empty) or inserts it as a new retained
-    /// root. Returns the snapshot to publish.
+    /// Installs a freshly computed view: diffs it against the retained
+    /// snapshot when one exists (bumping the generation and storing the
+    /// script exactly when it is non-empty) or retains it as a new
+    /// snapshot. Returns the snapshot to publish.
+    ///
+    /// Nodes shipped inside `Replace`/`AppendChild` payloads count as
+    /// rebuilt; every other node of the new view counts as reused.
     pub fn install(&mut self, u: HoleName, key: ViewKey, view: Html<Action>) -> Arc<Html<Action>> {
+        let size = view.size() as u64;
         match self.retained.get_mut(&u) {
             Some(entry) => {
                 self.scratch.clear();
-                let stats = reconcile(&mut self.arena, entry.root, &view, &mut self.scratch);
-                debug_assert_eq!(
-                    stats.reused + stats.rebuilt,
-                    view.size() as u64,
-                    "reconcile accounts for every new node"
-                );
-                self.reused += stats.reused;
-                self.rebuilt += stats.rebuilt;
-                entry.size = stats.reused + stats.rebuilt;
+                diff_into(&entry.snapshot, &view, &mut self.scratch);
+                let rebuilt = rebuilt_nodes(&self.scratch) as u64;
+                self.reused += size - rebuilt;
+                self.rebuilt += rebuilt;
+                entry.size = size;
                 entry.key = key;
                 if !self.scratch.is_empty() {
                     entry.prev_gen = entry.gen;
@@ -204,16 +194,9 @@ impl ViewRetainer {
                     entry.last_patches = Arc::new(self.scratch.drain(..).collect());
                     entry.snapshot = Arc::new(view);
                 }
-                debug_assert_eq!(
-                    self.arena.to_html(entry.root),
-                    *entry.snapshot,
-                    "retained tree mirrors the published snapshot"
-                );
                 Arc::clone(&entry.snapshot)
             }
             None => {
-                let root = self.arena.insert_tree(&view, None);
-                let size = view.size() as u64;
                 self.rebuilt += size;
                 let gen = self.next_gen;
                 self.next_gen += 1;
@@ -221,7 +204,6 @@ impl ViewRetainer {
                 self.retained.insert(
                     u,
                     Retained {
-                        root,
                         key,
                         size,
                         gen,
@@ -239,22 +221,12 @@ impl ViewRetainer {
 
     /// Drops the retained state for `u` (its view errored or vanished).
     pub fn remove(&mut self, u: HoleName) {
-        if let Some(entry) = self.retained.remove(&u) {
-            self.arena.free_tree(entry.root);
-        }
+        self.retained.remove(&u);
     }
 
     /// Drops retained state for every hole `keep` rejects.
     pub fn retain_holes(&mut self, mut keep: impl FnMut(HoleName) -> bool) {
-        let gone: Vec<HoleName> = self
-            .retained
-            .keys()
-            .copied()
-            .filter(|&u| !keep(u))
-            .collect();
-        for u in gone {
-            self.remove(u);
-        }
+        self.retained.retain(|&u, _| keep(u));
     }
 
     /// The generation/patch state for `u`, if retained.
@@ -267,13 +239,10 @@ impl ViewRetainer {
         })
     }
 
-    /// Drops every retained tree. The generation counter is *not* reset,
-    /// so stamps handed out before the clear never alias later ones.
+    /// Drops every snapshot. The generation counter is *not* reset, so
+    /// stamps handed out before the clear never alias later ones.
     pub fn clear(&mut self) {
-        for (_, entry) in std::mem::take(&mut self.retained) {
-            self.arena.free_tree(entry.root);
-        }
-        self.arena.clear();
+        self.retained.clear();
     }
 }
 

@@ -44,20 +44,12 @@ impl<A> Patch<A> {
     }
 }
 
-/// Computes a patch script transforming `old` into `new`.
+/// Computes a patch script transforming `old` into `new`, recorded as an
+/// `mvu.diff` span with `view_diff_*` counters.
 pub fn diff<A: Clone + PartialEq>(old: &Html<A>, new: &Html<A>) -> Vec<Patch<A>> {
+    let _span = livelit_trace::span("mvu.diff");
     let mut patches = Vec::new();
     diff_into(old, new, &mut patches);
-    patches
-}
-
-/// Like [`diff`], but appends onto a caller-owned buffer so render loops
-/// can reuse one allocation across instances instead of growing a fresh
-/// `Vec` per diff.
-pub fn diff_into<A: Clone + PartialEq>(old: &Html<A>, new: &Html<A>, out: &mut Vec<Patch<A>>) {
-    let _span = livelit_trace::span("mvu.diff");
-    let before = out.len();
-    diff_at(old, new, &mut Vec::new(), out);
     if livelit_trace::enabled() {
         livelit_trace::count(
             livelit_trace::Counter::ViewDiffNodes,
@@ -65,9 +57,31 @@ pub fn diff_into<A: Clone + PartialEq>(old: &Html<A>, new: &Html<A>, out: &mut V
         );
         livelit_trace::count(
             livelit_trace::Counter::ViewDiffPatches,
-            (out.len() - before) as u64,
+            patches.len() as u64,
         );
     }
+    patches
+}
+
+/// The untraced core of [`diff`]: appends the patch script onto a
+/// caller-owned buffer, so render loops can reuse one allocation across
+/// instances instead of growing a fresh `Vec` per diff.
+pub fn diff_into<A: Clone + PartialEq>(old: &Html<A>, new: &Html<A>, out: &mut Vec<Patch<A>>) {
+    diff_at(old, new, &mut Vec::new(), out);
+}
+
+/// The nodes of the new tree a patch script ships fresh: the sizes of its
+/// `Replace` and `AppendChild` payloads. Every other node of the new tree
+/// keeps its position in the old one (patched in place at most), so a
+/// script from [`diff`] reuses `new.size() - rebuilt_nodes(&script)` nodes.
+pub fn rebuilt_nodes<A>(patches: &[Patch<A>]) -> usize {
+    patches
+        .iter()
+        .map(|patch| match patch {
+            Patch::Replace(_, tree) | Patch::AppendChild(_, tree) => tree.size(),
+            _ => 0,
+        })
+        .sum()
 }
 
 fn diff_at<A: Clone + PartialEq>(

@@ -7,7 +7,7 @@
 //! it as a service (Sec. 5.2). This crate is that serving front end: each
 //! session owns a [`Document`] plus an [`IncrementalEngine`], requests
 //! arrive as line-delimited JSON, and `render` replies carry
-//! [`livelit_mvu::diff`] patch scripts against the view the client last
+//! [`livelit_mvu::diff()`] patch scripts against the view the client last
 //! acknowledged rather than whole view trees.
 //!
 //! # Wire protocol
@@ -196,8 +196,8 @@ impl SessionStats {
 
 /// The view a client last received for one hole, stamped with the
 /// retained-tree generation it corresponds to. `render` replies are
-/// derived from the stamp: same generation as the retained tree → empty
-/// patch list; exactly one reconcile behind → the stored patch script;
+/// derived from the stamp: same generation as the retained snapshot →
+/// empty patch list; exactly one diff behind → the stored patch script;
 /// anything else → full tree.
 struct AckedView {
     gen: u64,
@@ -210,7 +210,7 @@ pub struct Session {
     doc: Document,
     engine: IncrementalEngine,
     /// The views computed by the most recent engine run (shared with the
-    /// engine's retained arena snapshots).
+    /// engine's retained snapshots).
     views: BTreeMap<HoleName, Arc<Html<Action>>>,
     /// The view the client last received per hole, with its generation
     /// stamp — what `render` replies are derived from.
@@ -761,15 +761,14 @@ impl Server {
             let full_json = wire::html_json(new_view);
             let full_len = full_json.to_string().len() as u64;
             full_bytes += full_len;
-            // Generation protocol: the retained arena already reconciled
-            // this hole's view, so the reply is derived from the acked
-            // generation stamp instead of re-diffing two full trees. Same
-            // generation → the client is current (empty patch list, byte-
-            // identical to the old empty diff); exactly one reconcile
-            // behind → ship the stored patch script (by the reconciler's
-            // contract, identical to `diff(acked, new)`); anything else —
-            // no ack yet, a stale stamp, or a recreated hole — degrades to
-            // a full render, exactly as the old path did.
+            // Generation protocol: the engine already diffed this hole's
+            // view against its retained snapshot, so the reply is derived
+            // from the acked generation stamp instead of diffing again.
+            // Same generation → the client is current (empty patch list);
+            // exactly one diff behind → ship the stored patch script,
+            // which is `diff(acked, new)`; anything else — no ack yet, a
+            // stale stamp, or a recreated hole — degrades to a full
+            // render.
             let delta = session.engine.view_delta(*hole);
             let patched: Option<Arc<Vec<Patch<Action>>>> =
                 match (session.acked.get(hole), delta.as_ref()) {
@@ -969,13 +968,13 @@ impl Server {
             ("sched_steals", uint(gauges.steals)),
             ("workers", uint(livelit_sched::configured_workers() as u64)),
             (
-                // A true gauge (not a counter total): live nodes currently
-                // retained across every open session's view arena.
+                // A true gauge (not a counter total): view nodes currently
+                // retained across every open session's snapshots.
                 "view_arena_live",
                 uint(
                     self.sessions
                         .values()
-                        .map(|s| s.engine.view_arena_live() as u64)
+                        .map(|s| s.engine.retained_view_nodes())
                         .sum::<u64>(),
                 ),
             ),

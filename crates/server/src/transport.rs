@@ -27,7 +27,7 @@
 //! ```
 //!
 //! Framing (CRLF, final unterminated line, oversized-line recovery) is
-//! [`wire::LineReader`], shared with the stdio path. A `drain` —
+//! [`LineReader`], shared with the stdio path. A `drain` —
 //! SIGTERM, SIGINT, a `shutdown` op from any connection, or
 //! [`ShutdownHandle::request_drain`] — stops the accept loop, lets every
 //! in-flight request finish and its reply ship, stops reading further

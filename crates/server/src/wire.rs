@@ -114,7 +114,7 @@ fn path_json(path: &[usize]) -> Json {
 }
 
 /// Encodes one patch operation. Patches address nodes positionally by
-/// child-index path from the view root, mirroring [`livelit_mvu::diff`].
+/// child-index path from the view root, mirroring [`livelit_mvu::diff()`].
 pub fn patch_json(patch: &Patch<Action>) -> Json {
     match patch {
         Patch::Replace(path, node) => obj([

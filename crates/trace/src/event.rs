@@ -91,14 +91,17 @@ pub enum Counter {
     /// Dynamic LL0401 double-expansions skipped because static purity
     /// analysis already proved the expansion deterministic.
     FlowDeterminismSkips,
-    /// Retained view nodes kept in place by a reconcile pass (memo hits
-    /// count their whole subtree without walking it).
+    /// Nodes of a recomputed view that keep their place in the retained
+    /// snapshot (patched in place at most): the view's size minus the
+    /// rebuilt nodes. Memo hits count the whole snapshot without walking it.
     ViewNodesReused,
-    /// View nodes freshly inserted into the arena by a reconcile pass
-    /// (replaced or appended subtrees).
+    /// Nodes shipped fresh by a recomputed view's patch script: the sizes
+    /// of its `Replace` and `AppendChild` payloads (a new instance's whole
+    /// view).
     ViewNodesRebuilt,
-    /// Live nodes in the retained view arena, sampled once per view
-    /// refresh (a level, so totals across events are not additive).
+    /// Nodes held in retained view snapshots, summed over instances and
+    /// sampled once per view refresh (a level, so totals across events are
+    /// not additive).
     ViewArenaLive,
     /// Environment-machine transitions executed (control-state
     /// dispatches). Distinct from [`Counter::EvalSteps`]: replay charging

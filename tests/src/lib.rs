@@ -13,6 +13,8 @@
 //! Randomness comes from a self-contained xorshift generator ([`XorShift`])
 //! rather than the `rand` crate, so the suite builds with no network access.
 
+use std::collections::BTreeMap;
+
 use hazel::lang::external::EExp;
 use hazel::lang::unexpanded::{Splice, UCaseArm};
 use hazel::prelude::*;
@@ -93,6 +95,44 @@ pub fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
             .join()
             .expect("big-stack thread panicked")
     })
+}
+
+/// The legacy rebuild-everything view pass: computes every instance's view
+/// from scratch with no retained state. This is the differential oracle
+/// the engine's retained views are validated against by the
+/// `view_arena_props` suite on random edit scripts, and B17's legacy
+/// column.
+pub fn compute_views_from_scratch(
+    registry: &LivelitRegistry,
+    doc: &Document,
+    collection: &hazel::core::cc::Collection,
+    fuel: u64,
+) -> (
+    BTreeMap<HoleName, Html<Action>>,
+    BTreeMap<HoleName, CmdError>,
+) {
+    let phi = registry.phi();
+    let mut views = BTreeMap::new();
+    let mut view_errors = BTreeMap::new();
+    for u in doc.livelit_holes() {
+        let Some(instance) = doc.instance(u) else {
+            continue;
+        };
+        let gamma = collection
+            .delta
+            .get(u)
+            .map(|hyp| hyp.ctx.clone())
+            .unwrap_or_else(|| doc.prelude_ctx());
+        match instance.view_live(&phi, &gamma, collection, fuel) {
+            Ok(view) => {
+                views.insert(u, view);
+            }
+            Err(e) => {
+                view_errors.insert(u, e);
+            }
+        }
+    }
+    (views, view_errors)
 }
 
 /// The test livelit context: simple livelits at several types, used to

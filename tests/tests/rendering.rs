@@ -76,6 +76,38 @@ fn dashboard_shows_only_guis() {
 }
 
 #[test]
+fn dashboard_and_session_render_the_selected_closure() {
+    // `f` is applied twice, so the dataframe at ?0 has two closures
+    // (x = 1.5 and x = 2.5). With the second selected, a cell computing
+    // `x +. 10.` must show 12.5 in both renderings.
+    use hazel::lang::value::iv;
+    use hazel::std::dataframe::DataframeModel;
+    let registry = std_registry();
+    let program = parse_uexp("let f = fun x : Float -> (x, ?0) in (f 1.5, f 2.5)").unwrap();
+    let mut doc = Document::new(&registry, vec![], program).unwrap();
+    let u = HoleName(0);
+    doc.fill_hole_with_livelit(&registry, u, "$dataframe", vec![])
+        .unwrap();
+    doc.dispatch(u, &iv::record([("add_col", IExp::Unit)]))
+        .unwrap();
+    doc.dispatch(u, &iv::record([("add_row", IExp::Unit)]))
+        .unwrap();
+    let model = DataframeModel::from_value(doc.instance(u).unwrap().model()).unwrap();
+    let cell = model.rows[0].1[0];
+    doc.edit_splice(u, cell, parse_uexp("x +. 10.").unwrap())
+        .unwrap();
+    doc.select_closure(u, 1).unwrap();
+    let out = hazel::editor::run(&registry, &doc).unwrap();
+    assert_eq!(out.collection.envs_for(u).len(), 2);
+
+    let session = hazel::editor::render_session(&registry, &doc, &out, 80);
+    assert!(session.contains("12.5"), "{session}");
+    let dashboard = hazel::editor::render_dashboard(&registry, &doc, &out);
+    assert!(dashboard.contains("12.5"), "{dashboard}");
+    assert!(!dashboard.contains("11.5"), "{dashboard}");
+}
+
+#[test]
 fn view_errors_display_in_place_of_gui() {
     // $slider with non-sensical bounds: the view fails with a custom error
     // (Sec. 2.4.1) which the session render shows in place of the GUI.

@@ -1,30 +1,27 @@
-//! The retained view arena must be unobservable: over seeded random edit
-//! scripts, the [`IncrementalEngine`]'s arena-backed render pipeline —
-//! memo hits, in-place reconciliation, generation stamps — must publish
+//! Retained views must be unobservable: over seeded random edit scripts,
+//! the [`IncrementalEngine`]'s retained render pipeline — memo hits,
+//! diffs against the retained snapshot, generation stamps — must publish
 //! view trees bit-identical to the legacy rebuild-everything pass
-//! ([`compute_views_from_scratch`]), its stored reconcile output must
-//! equal the legacy whole-tree diff and roll the previous snapshot
-//! forward exactly, and the whole-script transcript plus the
-//! deterministic trace-counter totals must agree at pool sizes 1, 2,
-//! and 8.
+//! ([`compute_views_from_scratch`]), its stored patch script must equal
+//! the whole-tree diff against the acked view and roll that view forward
+//! exactly, and the whole-script transcript plus the deterministic
+//! trace-counter totals must agree at pool sizes 1, 2, and 8.
 //!
-//! A second property pins the arena's memory-safety discipline directly:
-//! freeing a tree invalidates every handle into it (stale-generation
-//! lookups return `None`, never another node), and freelist reuse mints
-//! ids that can never alias the freed ones.
+//! The file keeps its historical name from when the retained trees lived
+//! in a separate view arena.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hazel::editor::engine::ENGINE_FUEL;
-use hazel::editor::{compute_views_from_scratch, open_module, IncrementalEngine};
+use hazel::editor::{open_module, IncrementalEngine};
 use hazel::lang::parse::parse_uexp;
 use hazel::lang::value::iv;
-use hazel::mvu::{diff, try_apply, Html, NodeKind, ViewArena, ViewId};
+use hazel::mvu::{diff, try_apply, Html};
 use hazel::prelude::*;
 use hazel::sched::set_workers_override;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
-use integration_tests::XorShift;
+use integration_tests::{compute_views_from_scratch, XorShift};
 
 const SCRIPTS: u64 = 40;
 const EDITS_PER_SCRIPT: usize = 6;
@@ -86,7 +83,7 @@ fn run_script(seed: u64) -> (String, Stats, usize) {
                 let hole = HoleName(rng.below(2));
                 if rng.below(4) == 0 {
                     // A model transition: this hole's view recomputes and
-                    // reconciles; the other hole must stay a memo hit.
+                    // diffs; the other hole must stay a memo hit.
                     doc.dispatch(hole, &iv::record([("set", iv::int(rng.range(0, 9)))]))
                         .expect("slider dispatch");
                 } else {
@@ -124,7 +121,7 @@ fn run_script(seed: u64) -> (String, Stats, usize) {
             for (u, view) in &views {
                 let delta = engine
                     .view_delta(*u)
-                    .expect("every published view has a retained root");
+                    .expect("every published view has a retained snapshot");
                 match acked.get(u) {
                     Some((gen, snapshot)) if *gen == delta.gen => {
                         // No patch was emitted for this hole: the tree
@@ -135,13 +132,13 @@ fn run_script(seed: u64) -> (String, Stats, usize) {
                         );
                     }
                     Some((gen, snapshot)) if *gen == delta.prev_gen => {
-                        // One generation ahead: the stored reconcile
-                        // output must equal the legacy whole-tree diff
-                        // and roll the acked snapshot forward exactly.
+                        // One generation ahead: the stored patch script
+                        // must equal the whole-tree diff against the acked
+                        // snapshot and roll it forward exactly.
                         assert_eq!(
                             *delta.last_patches,
                             diff(snapshot, view),
-                            "seed {seed} step {step}: reconcile patches for {u:?} diverge from diff"
+                            "seed {seed} step {step}: stored patches for {u:?} diverge from diff"
                         );
                         let applied = try_apply(snapshot, &delta.last_patches)
                             .expect("stored patches apply to the acked tree");
@@ -161,7 +158,7 @@ fn run_script(seed: u64) -> (String, Stats, usize) {
                 acked.insert(*u, (delta.gen, Arc::clone(view)));
             }
             acked.retain(|u, _| views.contains_key(u));
-            transcript.push_str(&format!("  live={}\n", engine.view_arena_live()));
+            transcript.push_str(&format!("  live={}\n", engine.retained_view_nodes()));
         }
     }
     (transcript, sink.snapshot(), patched_transitions)
@@ -203,7 +200,7 @@ fn retained_views_are_bit_identical_to_legacy_at_pool_sizes_1_2_8() {
         set_workers_override(None);
         patched_total += seq_patched;
         // The property is about *retention*: the pipeline must actually
-        // have kept nodes in place (memo hits or in-place reconciles), or
+        // have kept nodes in place (memo hits or in-place patches), or
         // the scripts compare nothing.
         assert!(
             seq_stats.counter(Counter::ViewNodesReused) > 0,
@@ -218,83 +215,4 @@ fn retained_views_are_bit_identical_to_legacy_at_pool_sizes_1_2_8() {
         patched_total >= 40,
         "property near-vacuous: only {patched_total} non-empty patch transitions across all scripts"
     );
-}
-
-/// Collects every id in the retained subtree under `id`.
-fn subtree_ids(arena: &ViewArena<u32>, id: ViewId, out: &mut Vec<ViewId>) {
-    out.push(id);
-    if let Some(node) = arena.get(id) {
-        if let NodeKind::Element { children, .. } = &node.kind {
-            for child in children {
-                subtree_ids(arena, *child, out);
-            }
-        }
-    }
-}
-
-/// A small random `Html` tree for the arena invariants property.
-fn random_tree(rng: &mut XorShift, depth: u32) -> Html<u32> {
-    if depth == 0 || rng.below(3) == 0 {
-        return Html::text(format!("t{}", rng.below(10)));
-    }
-    let n = rng.below(3) + 1;
-    let children = (0..n).map(|_| random_tree(rng, depth - 1)).collect();
-    Html::node(format!("div{}", rng.below(3)), children)
-}
-
-#[test]
-fn arena_stale_handles_and_freelist_reuse_never_alias() {
-    for seed in 0..50u64 {
-        let mut rng = XorShift::new(seed);
-        let mut arena: ViewArena<u32> = ViewArena::new();
-        let mut peak_live = 0usize;
-        let mut freed_ids: Vec<ViewId> = Vec::new();
-        for _round in 0..8 {
-            let tree = random_tree(&mut rng, 3);
-            let root = arena.insert_tree(&tree, None);
-            assert_eq!(
-                arena.to_html(root),
-                tree,
-                "seed {seed}: retained tree round-trips"
-            );
-            let mut ids = Vec::new();
-            subtree_ids(&arena, root, &mut ids);
-            assert_eq!(ids.len(), tree.size(), "seed {seed}: every node reachable");
-            // Every previously freed handle must still be dead, even
-            // though its slot may now host a node of the new tree.
-            for stale in &freed_ids {
-                assert!(
-                    arena.get(*stale).is_none(),
-                    "seed {seed}: stale handle {stale:?} resolved after reuse"
-                );
-                // A live id occupying the same slot must carry a newer
-                // generation — reuse never mints an aliasing handle.
-                for live in &ids {
-                    if live.index() == stale.index() {
-                        assert!(
-                            live.generation() > stale.generation(),
-                            "seed {seed}: freelist reuse aliased {stale:?} as {live:?}"
-                        );
-                    }
-                }
-            }
-            peak_live = peak_live.max(arena.live_count());
-            arena.free_tree(root);
-            assert_eq!(arena.live_count(), 0, "seed {seed}: free_tree frees all");
-            for id in &ids {
-                assert!(
-                    arena.get(*id).is_none(),
-                    "seed {seed}: handle {id:?} survived free_tree"
-                );
-            }
-            freed_ids.extend(ids);
-        }
-        // Freed slots are reused before the slab grows: capacity is
-        // bounded by the largest single tree, not the sum of all rounds.
-        assert!(
-            arena.capacity() <= peak_live,
-            "seed {seed}: capacity {} exceeds peak live {peak_live} — freelist not reused",
-            arena.capacity()
-        );
-    }
 }
