@@ -7,13 +7,12 @@
 //! livelit models, so this agrees with the model-erased skeleton), the
 //! program by re-interning, where an unchanged unit hits the same
 //! hash-consed root `TermId`. Clean units are skipped wholesale, their
-//! diagnostics served from cache. Dirty units are re-scanned, fanned out
-//! on the scheduler pool when there is more than one, against the
-//! *pre-run* memo snapshot so every task's fact tallies depend only on
-//! its own unit (the same discipline that keeps `sched_props`
-//! counter-bit-identical at any worker count). Cross-definition
-//! reachability (`LL0503`) is solved by the generic [`Fixpoint`] engine
-//! with per-definition invalidation.
+//! diagnostics served from cache. Dirty units are re-scanned in unit
+//! order against the *pre-run* memo, each into a private overlay that is
+//! absorbed only once every unit is scanned, so a unit's fact tallies
+//! depend only on the unit itself. Cross-definition reachability
+//! (`LL0503`) is solved by the generic [`Fixpoint`] engine with
+//! per-definition invalidation.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -22,11 +21,10 @@ use hazel_lang::ident::LivelitName;
 use hazel_lang::store::{TermId, TermStore};
 use hazel_lang::unexpanded::UExp;
 use livelit_core::def::LivelitCtx;
-use livelit_core::par::run_tasks;
 
 use super::engine::{FactMemo, FactTally, Fixpoint, Lattice};
 use super::facts::{FactScout, TermFacts};
-use super::liveness::{self, LiveEvent};
+use super::liveness;
 use super::{holectx, purity};
 use crate::diagnostic::{Code, Diagnostic, Location, Severity};
 
@@ -74,15 +72,6 @@ pub struct FlowRun {
     /// Per-term facts served from the memo this run.
     pub facts_reused: u64,
 }
-
-/// One dirty unit's scan output: its root facts, liveness events, the
-/// task-private fact overlay, and the computed/reused tallies.
-type UnitScan = (
-    Arc<TermFacts>,
-    Vec<LiveEvent>,
-    Vec<(TermId, Arc<TermFacts>)>,
-    FactTally,
-);
 
 /// Per-unit cached state.
 struct UnitState {
@@ -178,8 +167,8 @@ impl FlowAnalyzer {
             }
         }
 
-        // Phase 2: scan dirty units against the pre-run memo snapshot,
-        // fanning out on the pool when there is more than one.
+        // Phase 2: scan each dirty unit against the pre-run memo, so its
+        // fact tallies depend only on its own unit.
         let scan = |root: TermId| {
             let mut scout = FactScout::new(&self.store, &self.memo);
             let facts = scout.facts(root);
@@ -187,23 +176,7 @@ impl FlowAnalyzer {
             let (overlay, tally) = scout.into_overlay();
             (facts, events, overlay, tally)
         };
-        let scanned: Vec<UnitScan> = if dirty.len() > 1 {
-            run_tasks(&dirty, |_, (_, root)| scan(*root))
-                .into_iter()
-                .map(|r| {
-                    r.unwrap_or_else(|_| {
-                        (
-                            Arc::new(TermFacts::default()),
-                            Vec::new(),
-                            Vec::new(),
-                            FactTally::default(),
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            dirty.iter().map(|(_, root)| scan(*root)).collect()
-        };
+        let scanned: Vec<_> = dirty.iter().map(|(_, root)| scan(*root)).collect();
 
         // Phase 3 (sequential, unit order): absorb overlays and tallies,
         // rebuild per-unit diagnostics and reference sets. Definitions

@@ -41,8 +41,7 @@ pub struct SolveStats {
 ///
 /// Keys are processed smallest-first, so a solve over the same equations
 /// visits the same keys in the same order regardless of how the dirty set
-/// was discovered — the determinism discipline every parallel consumer of
-/// the engine relies on.
+/// was discovered.
 #[derive(Debug, Clone)]
 pub struct Fixpoint<K: Ord + Copy, L: Lattice> {
     facts: BTreeMap<K, L>,
@@ -137,9 +136,8 @@ impl<K: Ord + Copy, L: Lattice> Fixpoint<K, L> {
     }
 }
 
-/// Tallies from a batch of [`FactMemo`] queries — kept local so worker
-/// threads never emit trace events; the calling thread aggregates and
-/// reports them (the same discipline as `livelit_core::par`).
+/// Tallies from a batch of [`FactMemo`] queries, kept per unit; the
+/// driver aggregates and reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FactTally {
     /// Facts computed fresh.
@@ -185,7 +183,7 @@ impl<F> FactMemo<F> {
     }
 
     /// Merges a batch of facts computed against a snapshot of this memo
-    /// (e.g. by a parallel analysis task). Insertion order is the caller's
+    /// (one unit's overlay). Insertion order is the caller's
     /// responsibility to keep deterministic; entries already present win,
     /// which is sound because facts are a pure function of the term.
     pub fn absorb(&mut self, batch: Vec<(TermId, Arc<F>)>) {

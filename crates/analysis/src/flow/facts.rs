@@ -69,10 +69,9 @@ impl TermFacts {
 /// A fact walker over one store: reads a shared base memo, writes fresh
 /// facts to a local overlay, and tallies computed/reused counts locally.
 ///
-/// The split is what keeps parallel fan-out deterministic: tasks analyze
-/// against the *pre-run* memo snapshot (so their tallies depend only on
-/// their own unit), and the calling thread absorbs the overlays in unit
-/// order afterwards.
+/// The split keeps tallies per unit: each unit is analyzed against the
+/// *pre-run* memo (so its tallies depend only on the unit itself), and
+/// the driver absorbs the overlays in unit order afterwards.
 pub struct FactScout<'a> {
     store: &'a TermStore,
     base: &'a FactMemo<TermFacts>,

@@ -25,8 +25,7 @@
 //!   store facts, from which the `LL0101`/`LL0102` splice-discipline
 //!   lints are derived.
 //! - [`analyzer`] — [`analyzer::FlowAnalyzer`]: the stateful,
-//!   per-definition incremental driver with dirty-set invalidation and
-//!   deterministic parallel fan-out.
+//!   per-definition incremental driver with dirty-set invalidation.
 
 pub mod analyzer;
 pub mod engine;

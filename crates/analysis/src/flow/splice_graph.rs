@@ -11,9 +11,8 @@
 //! are memoized by `TermId`, and all splices of an invocation are
 //! answered by one bottom-up pass.
 //!
-//! The store and memo are thread-local rather than global so parallel
-//! analysis tasks never contend (and never observe each other's memo
-//! state, keeping per-task tallies deterministic).
+//! The store and memo are thread-local rather than global, so analyses on
+//! different threads never contend or observe each other's memo state.
 
 use std::cell::RefCell;
 

@@ -24,8 +24,8 @@
 //! - **dataflow** ([`flow`]): the demand-driven incremental framework
 //!   over the hash-consed term store — reachability/liveness `LL05xx`,
 //!   static expansion purity `LL06xx`, and hole-context facts `LL07xx` —
-//!   with per-definition dirty-set invalidation and deterministic
-//!   parallel fan-out ([`flow::FlowAnalyzer`]).
+//!   with per-definition dirty-set invalidation
+//!   ([`flow::FlowAnalyzer`]).
 //!
 //! # Example
 //!

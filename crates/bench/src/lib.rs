@@ -119,36 +119,6 @@ pub fn expensive_then_livelit(n: i64) -> UExp {
     parse_uexp(&src).expect("workload parses")
 }
 
-/// The B12 workload: `n` independent summands, each an inner `$sum2`
-/// invocation whose first splice performs `k` units of recursive work,
-/// bound to a local and fed to an outer `$sum2` invocation.
-///
-/// Each outer hole's σ maps the local to the inner hole's closure, so
-/// collecting its environment must fill and resume the inner invocation —
-/// `k` evaluation steps per outer hole, `n` mutually independent
-/// resumptions. This is exactly the per-(hole, closure) shape the
-/// scheduler parallelizes during closure collection.
-pub fn parallel_resume_program(n: usize, k: i64) -> UExp {
-    use hazel::lang::parse::parse_uexp;
-    let summands: Vec<String> = (0..n)
-        .map(|i| {
-            format!(
-                "(let a = $sum2@{}{{()}}(sum_to {k} : Int; 1 : Int) in \
-                 $sum2@{}{{()}}(a : Int; 1 : Int))",
-                2 * i,
-                2 * i + 1
-            )
-        })
-        .collect();
-    let src = format!(
-        "let rec sum_to : Int -> Int = fun k : Int -> \
-           if k <= 0 then 0 else k + sum_to (k - 1) in \
-         {}",
-        summands.join(" + ")
-    );
-    parse_uexp(&src).expect("workload parses")
-}
-
 /// A generated external expression of roughly the requested size, for
 /// layout and encoding benchmarks.
 pub fn sized_program(seed: u64, target_nodes: usize) -> EExp {

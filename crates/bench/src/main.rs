@@ -1,5 +1,5 @@
 //! `livelit-bench`: the manual benchmark harness behind EXPERIMENTS.md
-//! Part II (B1–B19).
+//! Part II (B1–B19; B12 is retired).
 //!
 //! Each experiment times its workload over `--iters` iterations (median-of-N
 //! with a warmup iteration; no external benchmarking dependency) and the
@@ -29,8 +29,7 @@ use hazel::std::grading::grading_prelude;
 use hazel::trace::{Counter, Histogram, NullSink, StatsSink, Tracer};
 use livelit_bench::{
     bench_phi, deep_guarded_chain, deep_redex_chain, deep_scope_invocation, expensive_then_livelit,
-    many_invocations, parallel_resume_program, sized_program, sized_view, sized_view_edited,
-    wide_invocation,
+    many_invocations, sized_program, sized_view, sized_view_edited, wide_invocation,
 };
 
 /// One timed case: experiment id, group, case label, and the statistics of
@@ -405,30 +404,6 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
                 }),
             ));
         }
-    }
-
-    // B12 — parallel closure collection: many independent expensive
-    // fill-and-resume tasks at 1/2/4/8 workers (speedup curve).
-    if wants(config, "B12") {
-        let phi = bench_phi(&[]);
-        let (n, k) = if config.quick {
-            (8usize, 500i64)
-        } else {
-            (16, 2000)
-        };
-        let program = parallel_resume_program(n, k);
-        for workers in [1usize, 2, 4, 8] {
-            hazel::sched::set_workers_override(Some(workers));
-            results.push(summarize(
-                "B12",
-                "parallel_resume/workers",
-                workers.to_string(),
-                sample(config.iters, || {
-                    hazel::core::collect(&phi, &program).expect("collects")
-                }),
-            ));
-        }
-        hazel::sched::set_workers_override(None);
     }
 
     // B13 — the splice-result cache under a model-drag render loop: a

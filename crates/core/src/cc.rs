@@ -31,9 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hazel_lang::elab::elab_syn;
-use hazel_lang::eval::{
-    eval_traced, fill, report_machine_counters, resume_sigma_counted, EvalError, DEFAULT_FUEL,
-};
+use hazel_lang::eval::{eval_traced, fill, resume_sigma_counted, EvalError, DEFAULT_FUEL};
 use hazel_lang::external::{CaseArm, EExp};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
@@ -579,15 +577,9 @@ pub fn collect_with_fuel(
 /// Proto-environment collection plus resumption (Defs. 4.5–4.8): gathers
 /// every livelit hole's environments from an evaluated cc-expansion, as a
 /// set (duplicate environments — the same stuck closure substituted into
-/// several positions — collapse to one), then fills with Ω and resumes.
-///
-/// Resumption fans out on the work-stealing pool: each (hole, closure)
-/// task is pure evaluation over shared immutable inputs (Ω and the
-/// proto-environments), so tasks are independent by construction. The
-/// sequential observable discipline is preserved exactly — results are
-/// reassembled in (hole, closure) order, `ClosuresCollected` is emitted
-/// per hole (from this thread) before its resumptions are consumed, and
-/// the first failure in task order is the one returned.
+/// several positions — collapse to one), then fills with Ω and resumes
+/// each one in (hole, closure) order, emitting `ClosuresCollected` per
+/// hole before its resumptions. The first failure is the one returned.
 fn collect_envs(
     proto_result: &IExp,
     omega: &Omega,
@@ -603,34 +595,17 @@ fn collect_envs(
             }
         }
     }
-    let tasks: Vec<(HoleName, Sigma)> = proto_envs
-        .into_iter()
-        .flat_map(|(u, sigmas)| sigmas.into_iter().map(move |s| (u, s)))
-        .collect();
-    // Machine counters are returned per task and counted below on this
-    // thread, in task order.
-    let resumed = crate::par::run_tasks(&tasks, move |_, (_, sigma)| {
-        let filled = omega.fill_sigma(sigma);
-        resume_sigma_counted(&filled, fuel)
-    });
-
-    let mut envs: BTreeMap<HoleName, Vec<Sigma>> = BTreeMap::new();
-    let mut results = resumed.into_iter();
-    let mut idx = 0;
-    while idx < tasks.len() {
-        let u = tasks[idx].0;
-        let count = tasks[idx..].iter().take_while(|(h, _)| *h == u).count();
-        livelit_trace::count(livelit_trace::Counter::ClosuresCollected, count as u64);
-        let mut hole_envs = Vec::with_capacity(count);
-        for task_result in results.by_ref().take(count) {
-            // Outer: a panicking task, folded to `EvalError::Internal` by
-            // the pool bridge. Inner: an ordinary resumption failure.
-            let (resumed_sigma, machine) = task_result?;
-            report_machine_counters(machine);
-            hole_envs.push(resumed_sigma?);
-        }
-        envs.insert(u, hole_envs);
-        idx += count;
+    let mut envs = BTreeMap::new();
+    for (u, sigmas) in proto_envs {
+        livelit_trace::count(
+            livelit_trace::Counter::ClosuresCollected,
+            sigmas.len() as u64,
+        );
+        let resumed = sigmas
+            .iter()
+            .map(|sigma| resume_sigma_counted(&omega.fill_sigma(sigma), fuel))
+            .collect::<Result<Vec<_>, _>>()?;
+        envs.insert(u, resumed);
     }
     Ok(envs)
 }

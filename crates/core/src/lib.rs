@@ -57,7 +57,6 @@ pub mod encoding_structural;
 pub mod expansion;
 pub mod live;
 pub mod module;
-pub mod par;
 
 pub use cc::{collect, collect_with_fuel, Collection, Omega};
 pub use def::{EncodingScheme, ExpandFn, ExpansionKey, LivelitCtx, LivelitDef};

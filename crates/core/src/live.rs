@@ -9,8 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::mem;
-use std::sync::{Arc, PoisonError};
+use std::sync::PoisonError;
 
 use hazel_lang::elab::elab_ana;
 use hazel_lang::eval::{eval_traced, report_machine_counters, EvalError, DEFAULT_FUEL};
@@ -18,7 +17,7 @@ use hazel_lang::final_form::{is_value, Classification};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
 use hazel_lang::machine::MachineEvaluator;
-use hazel_lang::store::{TermId, TermStore};
+use hazel_lang::store::TermId;
 use hazel_lang::typ::Typ;
 use hazel_lang::typing::{Ctx, TypeError};
 use hazel_lang::unexpanded::UExp;
@@ -159,29 +158,25 @@ enum Prepared {
     /// expansion/type error.
     Ready(Result<Option<LiveResult>, LiveError>),
     /// Resolve from the splice-result cache under this key after the
-    /// parallel evaluation phase.
+    /// evaluation phase.
     Key((TermId, u32)),
 }
 
 /// Evaluates a batch of splices, sharing one pass over the collection's
-/// interned state and evaluating distinct cache misses in parallel on the
-/// global pool.
+/// interned state.
 ///
 /// Slot `i` of the output corresponds to `jobs[i]`. Results are identical
 /// to calling [`eval_splice`] per job in order — the batch exists so the
-/// editor can saturate the pool when re-rendering every view after an
-/// edit. Three phases:
+/// editor can prepare every view's splices after an edit under one lock.
+/// Two phases:
 ///
-/// 1. **Prepare** (sequential, in job order): expand, elaborate, intern σ,
-///    substitute, and consult the per-collection splice-result cache keyed
-///    by (interned elaborated splice, interned σ). Hits and batch
-///    duplicates are counted as [`livelit_trace::Counter::SpliceCacheHits`].
-/// 2. **Evaluate** (parallel): the main store is frozen into an immutable
-///    snapshot; each distinct miss evaluates in a private delta store over
-///    it on the pool.
-/// 3. **Merge** (sequential, in task order): deltas are absorbed back into
-///    the main store with structural dedup, so the final store contents —
-///    and every result — are bit-identical at any pool size.
+/// 1. **Prepare** (in job order): expand, elaborate, intern σ, substitute,
+///    and consult the per-collection splice-result cache keyed by
+///    (interned elaborated splice, interned σ). Hits and batch duplicates
+///    are counted as [`livelit_trace::Counter::SpliceCacheHits`].
+/// 2. **Evaluate** (in miss order): each distinct miss runs on the
+///    environment machine directly in the collection's term store, and
+///    its result is cached.
 pub fn eval_splices(
     phi: &LivelitCtx,
     collection: &Collection,
@@ -267,51 +262,21 @@ pub fn eval_splices(
 
     if !to_eval.is_empty() {
         let _span = livelit_trace::span("live.eval_batch");
-        let frozen = Arc::new(mem::take(&mut interned.store));
-        let frozen_ref = &frozen;
-        let mut outcomes = crate::par::run_tasks(&to_eval, move |_, &(_, closed)| {
-            // The machine writes only into the task-private delta; trace
-            // events are never emitted from worker threads — steps and
-            // machine counters are returned and counted on the
-            // coordinating thread in task order, keeping transcripts
-            // bit-identical at any pool size.
-            let mut delta = TermStore::delta(frozen_ref);
-            let mut evaluator = MachineEvaluator::with_fuel(&mut delta, DEFAULT_FUEL);
+        for &(key, closed) in &to_eval {
+            let mut evaluator = MachineEvaluator::with_fuel(&mut interned.store, DEFAULT_FUEL);
             let result = evaluator.eval(closed);
-            let (steps, machine) = (evaluator.steps(), evaluator.counters());
-            (result, steps, machine, delta)
-        });
-        for (_, _, _, delta) in outcomes.iter_mut().flatten() {
-            delta.release_base();
-        }
-        // Panicked tasks dropped their delta (and its snapshot handle)
-        // during unwind; healthy deltas released theirs above.
-        let mut store = Arc::try_unwrap(frozen).expect("all snapshot handles released after join");
-        for (&(key, _), outcome) in to_eval.iter().zip(outcomes) {
-            let cached = match outcome {
+            livelit_trace::count(livelit_trace::Counter::EvalSteps, evaluator.steps());
+            report_machine_counters(evaluator.counters());
+            let cached = match result {
                 Err(e) => CachedSplice::Err(e),
-                Ok((result, steps, machine, delta)) => {
-                    livelit_trace::count(livelit_trace::Counter::EvalSteps, steps);
-                    report_machine_counters(machine);
-                    match result {
-                        Err(e) => CachedSplice::Err(e),
-                        Ok(result_id) => {
-                            let remap = store.absorb(&delta);
-                            let result_id = remap.term(result_id);
-                            let is_val =
-                                matches!(store.classification(result_id), Classification::Value);
-                            CachedSplice::Done {
-                                result: result_id,
-                                is_val,
-                            }
-                        }
-                    }
-                }
+                Ok(result) => CachedSplice::Done {
+                    result,
+                    is_val: matches!(interned.store.classification(result), Classification::Value),
+                },
             };
             interned.cache_result(key, cached.clone());
             batch_results.insert(key, cached);
         }
-        interned.store = store;
     }
     interned.store.report_trace_counters();
 

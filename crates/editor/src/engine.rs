@@ -254,9 +254,8 @@ pub(crate) fn recompute_views(
     }
     // Prewarm the splice-result cache in one batch: every splice of every
     // *missed* instance, under its selected closure. The batch evaluates
-    // distinct cache misses in parallel on the scheduler pool; the
-    // per-splice `eval_splice` calls the views make below then hit the
-    // cache.
+    // each distinct cache miss once; the per-splice `eval_splice` calls
+    // the views make below then hit the cache.
     let mut jobs: Vec<SpliceJob<'_>> = Vec::new();
     for (u, _) in &misses {
         let Some(instance) = doc.instance(*u) else {

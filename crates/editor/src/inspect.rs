@@ -110,9 +110,6 @@ pub fn describe_timings(stats: &Stats) -> Option<String> {
         Counter::IncrementalFullRuns,
         Counter::SpliceCacheHits,
         Counter::SpliceCacheMisses,
-        Counter::SchedTasks,
-        Counter::SchedSteals,
-        Counter::SchedIdleNs,
     ];
     let counters: Vec<String> = interesting
         .iter()

@@ -73,20 +73,14 @@ fn usage() -> ExitCode {
          metrics [--format text|prom] <file.hzl>\n                                \
          per-phase latency histograms (p50/p90/p99) as a\n                                \
          table or Prometheus exposition format\n  \
-         serve (--stdio | --listen ADDR | --uds PATH) [--batch] [--workers N]\n        \
-         [--snapshot-dir DIR] [--max-conns N] [--idle-timeout SECS]\n        \
-         [--no-metrics] [--metrics-interval SECS]\n                                \
+         serve (--stdio | --listen ADDR | --uds PATH) [--snapshot-dir DIR]\n        \
+         [--max-conns N] [--idle-timeout SECS] [--no-metrics]\n        \
+         [--metrics-interval SECS]\n                                \
          serve documents over a JSON-lines protocol — on\n                                \
          stdio, a TCP address, or a Unix socket; with\n                                \
          --snapshot-dir, sessions are journaled and restored\n                                \
          across restarts\n  \
-         codes                         list every lint code\n\n\
-         environment:\n  \
-         LIVELIT_THREADS=N   evaluation worker threads: an integer >= 1\n                      \
-         (1 disables parallelism; values above the core\n                      \
-         count are allowed). 0, negative, or unparseable\n                      \
-         values warn once on stderr and fall back to the\n                      \
-         machine's available parallelism."
+         codes                         list every lint code"
     );
     ExitCode::from(2)
 }
@@ -146,16 +140,11 @@ fn trace(args: &[String]) -> ExitCode {
     let sink = RingSink::new(TRACE_CAPACITY);
     // The deterministic clock makes the serialized trace byte-identical
     // across runs: timestamps advance by a fixed tick per clock query.
-    // Force the sequential evaluation path for the same reason — at one
-    // worker the scheduler runs tasks in index order and reports no
-    // nondeterministic steal/idle counters.
     let tracer = Tracer::deterministic(sink.clone());
-    livelit_sched::set_workers_override(Some(1));
     let result = {
         let _guard = hazel::trace::install(&tracer);
         run_pipeline(&path)
     };
-    livelit_sched::set_workers_override(None);
     if let Err(code) = result {
         return code;
     }
@@ -192,20 +181,6 @@ fn stats(args: &[String]) -> ExitCode {
         emit(&stats.to_json());
     } else {
         emit(&stats.render());
-        if livelit_sched::configured_workers() == 1 {
-            // At one worker the pool pins idle_ns to 0 for golden
-            // stability, and the zero-suppressed counter table would
-            // silently omit it — label the pin instead of implying the
-            // pool measured no idle time.
-            emit(&format!(
-                "{:<28} {:>10}\n",
-                Counter::SchedIdleNs.as_str(),
-                "pinned"
-            ));
-            emit(
-                "(idle_ns is pinned to 0 at workers=1; run with LIVELIT_THREADS>1 to measure it)\n",
-            );
-        }
     }
     ExitCode::SUCCESS
 }
@@ -367,14 +342,11 @@ const SERVE_SLOW_K: usize = 4;
 /// Event buffer cap per captured slow-request span tree.
 const SERVE_CAPTURE_EVENTS: usize = 4096;
 
-/// `hazel serve (--stdio | --listen ADDR | --uds PATH) [--batch]
-/// [--workers N] [--snapshot-dir DIR] [--max-conns N] [--idle-timeout
-/// SECS] [--no-metrics] [--metrics-interval SECS]`: the headless
-/// document server. One JSON request per line in, one JSON reply per
-/// line out, in order. `--workers N` pins the evaluation pool (N=1
-/// makes replies deterministic for transcript diffing); `--batch` (stdio
-/// only) reads all of stdin up front and multiplexes distinct sessions
-/// onto the pool.
+/// `hazel serve (--stdio | --listen ADDR | --uds PATH) [--snapshot-dir
+/// DIR] [--max-conns N] [--idle-timeout SECS] [--no-metrics]
+/// [--metrics-interval SECS]`: the headless document server. One JSON
+/// request per line in, one JSON reply per line out, in order; on stdio
+/// the reply stream is byte-deterministic.
 ///
 /// `--listen ADDR` serves TCP (e.g. `127.0.0.1:7878`), `--uds PATH` a
 /// Unix-domain socket; both run the production transport — connection
@@ -389,15 +361,13 @@ const SERVE_CAPTURE_EVENTS: usize = 4096;
 ///
 /// Metrics are on by default: requests are timed into per-op histograms,
 /// the `metrics`/`watch` ops serve live snapshots, and a shutdown summary
-/// (plus the slow-request ranking) lands on stderr. In sequential stdio
-/// mode a `MetricsSink` tracer additionally attributes time to pipeline
-/// phases and captures span trees for the slowest requests. Replies never
+/// (plus the slow-request ranking) lands on stderr. On stdio a
+/// `MetricsSink` tracer additionally attributes time to pipeline phases
+/// and captures span trees for the slowest requests. Replies never
 /// change shape — transcripts are byte-identical with `--no-metrics`.
 /// `--metrics-interval SECS` prints a one-line summary to stderr every
 /// SECS seconds.
 fn serve(args: &[String]) -> ExitCode {
-    use std::io::BufRead;
-
     use hazel::server::transport::{
         signal, transport_error_line, BindTo, Transport, TransportConfig,
     };
@@ -407,10 +377,8 @@ fn serve(args: &[String]) -> ExitCode {
     let mut listen: Option<String> = None;
     let mut uds: Option<String> = None;
     let mut snapshot_dir: Option<String> = None;
-    let mut batch = false;
     let mut metrics_on = true;
     let mut interval: Option<u64> = None;
-    let mut workers: Option<usize> = None;
     let mut config = TransportConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -457,7 +425,6 @@ fn serve(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--batch" => batch = true,
             "--no-metrics" => metrics_on = false,
             "--metrics-interval" => {
                 let parsed = it.next().and_then(|s| s.parse::<u64>().ok());
@@ -465,16 +432,6 @@ fn serve(args: &[String]) -> ExitCode {
                     Some(s) => interval = Some(s),
                     None => {
                         eprintln!("hazel: --metrics-interval needs an integer >= 1 (seconds)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--workers" => {
-                let parsed = it.next().and_then(|w| w.parse::<usize>().ok());
-                match parsed.filter(|&w| w >= 1) {
-                    Some(w) => workers = Some(w),
-                    None => {
-                        eprintln!("hazel: --workers needs an integer >= 1");
                         return ExitCode::from(2);
                     }
                 }
@@ -489,13 +446,6 @@ fn serve(args: &[String]) -> ExitCode {
             "hazel: serve needs exactly one transport: --stdio, --listen ADDR, or --uds PATH"
         );
         return ExitCode::from(2);
-    }
-    if batch && !stdio {
-        eprintln!("hazel: --batch is a stdio mode (sockets already multiplex sessions)");
-        return ExitCode::from(2);
-    }
-    if let Some(w) = workers {
-        livelit_sched::set_workers_override(Some(w));
     }
 
     let mut server = hazel::server::Server::with_registry(Arc::new(|| {
@@ -535,11 +485,11 @@ fn serve(args: &[String]) -> ExitCode {
         }
     }
     // Phase attribution and slow-trace capture ride on an installed
-    // tracer. Tracers are per thread, so only the sequential stdio path,
-    // which serves every request on this thread, gets one: batch and
-    // socket handler threads install none and record no phases. The guard
-    // must outlive the request loop and drop on this thread.
-    let _trace_guard = metrics.as_ref().filter(|_| stdio && !batch).map(|m| {
+    // tracer. Tracers are per thread, so only the stdio path, which serves
+    // every request on this thread, gets one: socket handler threads
+    // install none and record no phases. The guard must outlive the
+    // request loop and drop on this thread.
+    let _trace_guard = metrics.as_ref().filter(|_| stdio).map(|m| {
         let sink = PairSink(MetricsSink::new(Arc::clone(m.hub())), m.capture().clone());
         hazel::trace::install(&Tracer::monotonic(sink))
     });
@@ -555,50 +505,41 @@ fn serve(args: &[String]) -> ExitCode {
     if stdio {
         let stdin = std::io::stdin();
         let mut out = std::io::stdout().lock();
-        if batch {
-            let lines: Vec<String> = stdin.lock().lines().map_while(Result::ok).collect();
-            for reply in server.handle_batch(&lines) {
-                if writeln!(out, "{reply}").is_err() {
+        // The same framer the socket transport uses: LF or CRLF, a
+        // final unterminated line still answered, oversized lines
+        // refused without killing the stream.
+        let mut reader = LineReader::new(stdin.lock(), config.max_line_bytes);
+        loop {
+            let line = match reader.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(FrameError::TooLong { limit }) => {
+                    let refusal =
+                        transport_error_line(format!("request line exceeds {limit} bytes"));
+                    if writeln!(out, "{refusal}").is_err() || out.flush().is_err() {
+                        break;
+                    }
+                    continue;
+                }
+                Err(FrameError::Io(_)) => break,
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let reply = server.handle_line(&line);
+            // A reply per request, flushed eagerly: clients drive the
+            // protocol request/reply lockstep. `watch` notifications
+            // ride after the reply that triggered them.
+            if writeln!(out, "{reply}").is_err() || out.flush().is_err() {
+                break;
+            }
+            for note in server.take_notifications() {
+                if writeln!(out, "{note}").is_err() || out.flush().is_err() {
                     break;
                 }
             }
-        } else {
-            // The same framer the socket transport uses: LF or CRLF, a
-            // final unterminated line still answered, oversized lines
-            // refused without killing the stream.
-            let mut reader = LineReader::new(stdin.lock(), config.max_line_bytes);
-            loop {
-                let line = match reader.next_line() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
-                    Err(FrameError::TooLong { limit }) => {
-                        let refusal =
-                            transport_error_line(format!("request line exceeds {limit} bytes"));
-                        if writeln!(out, "{refusal}").is_err() || out.flush().is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(FrameError::Io(_)) => break,
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let reply = server.handle_line(&line);
-                // A reply per request, flushed eagerly: clients drive the
-                // protocol request/reply lockstep. `watch` notifications
-                // ride after the reply that triggered them.
-                if writeln!(out, "{reply}").is_err() || out.flush().is_err() {
-                    break;
-                }
-                for note in server.take_notifications() {
-                    if writeln!(out, "{note}").is_err() || out.flush().is_err() {
-                        break;
-                    }
-                }
-                if server.shutdown_requested() {
-                    break;
-                }
+            if server.shutdown_requested() {
+                break;
             }
         }
         let _ = server.sync_snapshots();
@@ -649,10 +590,6 @@ fn serve(args: &[String]) -> ExitCode {
         if !slow.is_empty() {
             eprint!("{slow}");
         }
-    }
-
-    if workers.is_some() {
-        livelit_sched::set_workers_override(None);
     }
     ExitCode::SUCCESS
 }

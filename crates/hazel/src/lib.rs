@@ -54,7 +54,6 @@ pub use hazel_lang as lang;
 pub use livelit_analysis as analysis;
 pub use livelit_core as core;
 pub use livelit_mvu as mvu;
-pub use livelit_sched as sched;
 pub use livelit_server as server;
 pub use livelit_std as std;
 pub use livelit_trace as trace;

@@ -1,15 +1,15 @@
 //! Acceptance tests for the `hazel serve` subcommand: the golden
-//! transcript, crash-proofing under garbage input, and the
-//! `LIVELIT_THREADS` fallback warning.
+//! transcript, crash-proofing under garbage input, and journals that
+//! survive a killed process.
 //!
 //! The golden pins the full reply stream for a mixed two-session request
-//! script at `--workers 1` (the deterministic configuration CI diffs).
+//! script (stdio replies are byte-deterministic; CI diffs them too).
 //! Regenerate after an intentional protocol change with
-//! `hazel serve --stdio --workers 1 \
+//! `hazel serve --stdio \
 //!    < crates/hazel/tests/golden/serve_session.requests.jsonl \
 //!    > crates/hazel/tests/golden/serve_session.golden.jsonl`.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Output, Stdio};
 
 fn golden_path(name: &str) -> String {
@@ -41,8 +41,8 @@ fn requests() -> String {
 }
 
 #[test]
-fn serve_matches_the_golden_transcript_at_one_worker() {
-    let out = serve(&["--stdio", "--workers", "1"], &[], &requests());
+fn serve_matches_the_golden_transcript() {
+    let out = serve(&["--stdio"], &[], &requests());
     assert!(out.status.success(), "{out:?}");
     let golden = std::fs::read_to_string(golden_path("serve_session.golden.jsonl")).unwrap();
     assert_eq!(String::from_utf8(out.stdout).unwrap(), golden);
@@ -55,17 +55,13 @@ fn serve_transcript_is_identical_with_metrics_disabled() {
     // the exact same golden, and the metrics-on run must confine its
     // summary/slow-request dump to stderr.
     let golden = std::fs::read_to_string(golden_path("serve_session.golden.jsonl")).unwrap();
-    let with = serve(&["--stdio", "--workers", "1"], &[], &requests());
+    let with = serve(&["--stdio"], &[], &requests());
     assert!(with.status.success(), "{with:?}");
     assert_eq!(String::from_utf8(with.stdout).unwrap(), golden);
     let stderr = String::from_utf8(with.stderr).unwrap();
     assert!(stderr.contains("hazel serve: metrics:"), "stderr: {stderr}");
 
-    let without = serve(
-        &["--stdio", "--workers", "1", "--no-metrics"],
-        &[],
-        &requests(),
-    );
+    let without = serve(&["--stdio", "--no-metrics"], &[], &requests());
     assert!(without.status.success(), "{without:?}");
     assert_eq!(String::from_utf8(without.stdout).unwrap(), golden);
     let quiet = String::from_utf8(without.stderr).unwrap();
@@ -78,7 +74,7 @@ fn serve_metrics_op_reports_request_totals() {
     // are exact, the nondeterministic sections are present and shaped.
     let mut input = requests();
     input.push_str("{\"op\":\"metrics\",\"id\":99,\"slow\":true}\n");
-    let out = serve(&["--stdio", "--workers", "1"], &[], &input);
+    let out = serve(&["--stdio"], &[], &input);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let last = stdout.lines().last().unwrap();
@@ -88,8 +84,6 @@ fn serve_metrics_op_reports_request_totals() {
     );
     for field in [
         "\"closed_sessions\":2",
-        "\"queue_depth\":",
-        "\"workers\":1",
         "\"uptime_ns\":",
         "\"ops\":[",
         "\"p99_ns\":",
@@ -99,45 +93,6 @@ fn serve_metrics_op_reports_request_totals() {
         "serve.open",
     ] {
         assert!(last.contains(field), "missing {field} in {last}");
-    }
-}
-
-#[test]
-fn serve_transcript_is_stable_under_livelit_threads_1() {
-    // The CI smoke matrix runs serve both with the default pool and with
-    // `LIVELIT_THREADS=1`; sequential requests must not depend on it.
-    let out = serve(
-        &["--stdio", "--workers", "1"],
-        &[("LIVELIT_THREADS", "1")],
-        &requests(),
-    );
-    assert!(out.status.success(), "{out:?}");
-    let golden = std::fs::read_to_string(golden_path("serve_session.golden.jsonl")).unwrap();
-    assert_eq!(String::from_utf8(out.stdout).unwrap(), golden);
-}
-
-#[test]
-fn serve_batch_mode_replays_the_same_transcript() {
-    let out = serve(&["--stdio", "--batch", "--workers", "2"], &[], &requests());
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let golden = std::fs::read_to_string(golden_path("serve_session.golden.jsonl")).unwrap();
-    // Per-session request order is preserved inside a batch, so every
-    // session-addressed reply is byte-identical to the sequential golden.
-    // The one session-less request (the global `stats`, id 18) is handled
-    // before the fan-out by design, so its tallies legitimately differ.
-    let got: Vec<&str> = stdout.lines().collect();
-    let want: Vec<&str> = golden.lines().collect();
-    assert_eq!(got.len(), want.len(), "{stdout}");
-    for (g, w) in got.iter().zip(&want) {
-        if w.contains("\"id\":18,") {
-            assert!(
-                g.starts_with("{\"ok\":true,\"id\":18,\"op\":\"stats\""),
-                "{g}"
-            );
-        } else {
-            assert_eq!(g, w);
-        }
     }
 }
 
@@ -153,7 +108,7 @@ fn serve_survives_garbage_and_exits_cleanly() {
         \"unterminated\n\
         9999999999999999999999999999\n\
         {\"op\":\"open\",\"session\":123,\"source\":\"1\"}\n";
-    let out = serve(&["--stdio", "--workers", "1"], &[], garbage);
+    let out = serve(&["--stdio"], &[], garbage);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     let replies: Vec<&str> = stdout.lines().collect();
@@ -167,17 +122,15 @@ fn serve_survives_garbage_and_exits_cleanly() {
 fn serve_without_stdio_is_a_usage_error() {
     let out = serve(&[], &[], "");
     assert_eq!(out.status.code(), Some(2));
-    let bad_workers = serve(&["--stdio", "--workers", "0"], &[], "");
-    assert_eq!(bad_workers.status.code(), Some(2));
+    let bad_cap = serve(&["--stdio", "--max-conns", "0"], &[], "");
+    assert_eq!(bad_cap.status.code(), Some(2));
 }
 
 #[test]
-fn usage_documents_the_livelit_threads_range() {
+fn usage_documents_the_serve_options() {
     let out = Command::new(env!("CARGO_BIN_EXE_hazel")).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let usage = String::from_utf8(out.stderr).unwrap();
-    assert!(usage.contains("LIVELIT_THREADS"), "{usage}");
-    assert!(usage.contains("integer >= 1"), "{usage}");
     assert!(
         usage.contains("serve (--stdio | --listen ADDR | --uds PATH)"),
         "{usage}"
@@ -185,46 +138,61 @@ fn usage_documents_the_livelit_threads_range() {
     assert!(usage.contains("--snapshot-dir"), "{usage}");
 }
 
-/// The satellite-4 regression: `LIVELIT_THREADS=0` (and other invalid
-/// values) must not be honored silently — the process warns exactly once
-/// on stderr, names the fallback, and keeps serving.
+/// Acks survive a killed process: every acked request was written to the
+/// journal before its reply shipped, so a server killed with SIGKILL (no
+/// drain, no final sync) restarts into the same session state as one that
+/// never died.
 #[test]
-fn invalid_livelit_threads_warns_once_and_falls_back() {
-    // No --workers override: the env var is actually consulted when the
-    // pool spins up for the renders.
-    let out = serve(&["--stdio"], &[("LIVELIT_THREADS", "0")], &requests());
-    assert!(out.status.success(), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    let warnings = stderr
-        .lines()
-        .filter(|l| l.contains("ignoring LIVELIT_THREADS=\"0\""))
-        .count();
-    assert_eq!(warnings, 1, "stderr: {stderr}");
-    assert!(
-        stderr.contains("expected an integer >= 1"),
-        "stderr: {stderr}"
-    );
-    assert!(
-        stderr.contains("falling back to available parallelism"),
-        "stderr: {stderr}"
-    );
+fn acked_requests_survive_sigkill() {
+    let dir = std::env::temp_dir().join(format!("hazel-serve-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
+    let before = [
+        "{\"op\":\"open\",\"id\":1,\"session\":\"s\",\"source\":\"$slider@0{10}(0 : Int; 100 : Int)\"}",
+        "{\"op\":\"render\",\"id\":2,\"session\":\"s\"}",
+        "{\"op\":\"dispatch\",\"id\":3,\"session\":\"s\",\"hole\":0,\"target\":\"inc\",\"event\":\"click\"}",
+        "{\"op\":\"edit\",\"id\":4,\"session\":\"s\",\"edit\":{\"kind\":\"dispatch\",\"at\":0,\"action\":\"(.set 42)\"}}",
+    ];
+    let after = [
+        "{\"op\":\"render\",\"id\":5,\"session\":\"s\"}",
+        "{\"op\":\"dispatch\",\"id\":6,\"session\":\"s\",\"hole\":0,\"target\":\"inc\",\"event\":\"click\"}",
+        "{\"op\":\"render\",\"id\":7,\"session\":\"s\"}",
+    ];
+    let lines = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
 
-    // Unparseable values take the same path.
-    let out = serve(&["--stdio"], &[("LIVELIT_THREADS", "lots")], &requests());
-    assert!(out.status.success(), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(
-        stderr
-            .lines()
-            .filter(|l| l.contains("ignoring LIVELIT_THREADS"))
-            .count(),
-        1,
-        "stderr: {stderr}"
-    );
+    // Oracle: the same traffic through a server that never dies.
+    let oracle = serve(&["--stdio"], &[], &(lines(&before) + &lines(&after)));
+    assert!(oracle.status.success(), "{oracle:?}");
+    let oracle = String::from_utf8(oracle.stdout).unwrap();
+    let expected: Vec<&str> = oracle.lines().skip(before.len()).collect();
 
-    // A valid value stays silent.
-    let out = serve(&["--stdio"], &[("LIVELIT_THREADS", "2")], &requests());
-    assert!(out.status.success(), "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(!stderr.contains("LIVELIT_THREADS"), "stderr: {stderr}");
+    // Victim: read every ack, then SIGKILL.
+    let mut victim = Command::new(env!("CARGO_BIN_EXE_hazel"))
+        .args(["serve", "--stdio", "--snapshot-dir", dir_arg])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = victim.stdin.take().unwrap();
+    let mut acks = BufReader::new(victim.stdout.take().unwrap());
+    for line in before {
+        writeln!(stdin, "{line}").unwrap();
+        let mut ack = String::new();
+        acks.read_line(&mut ack).unwrap();
+        assert!(ack.starts_with("{\"ok\":true,"), "{ack}");
+    }
+    victim.kill().unwrap();
+    victim.wait().unwrap();
+
+    // Reborn: restore from the journal and continue the traffic.
+    let reborn = serve(&["--stdio", "--snapshot-dir", dir_arg], &[], &lines(&after));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(reborn.status.success(), "{reborn:?}");
+    let stderr = String::from_utf8(reborn.stderr).unwrap();
+    assert!(stderr.contains("restored 1 session(s)"), "{stderr}");
+    let stdout = String::from_utf8(reborn.stdout).unwrap();
+    let got: Vec<&str> = stdout.lines().collect();
+    assert_eq!(got, expected);
+    assert!(got[0].contains("\"result\":\"42\""), "{}", got[0]);
 }

@@ -43,10 +43,6 @@ pub enum EvalError {
     /// reachable when evaluating unchecked expansions, which is why
     /// expansion validation (premise 5 of ELivelit) exists.
     IllTyped(String),
-    /// An evaluation task on the scheduler pool panicked. Surfaced as an
-    /// error instead of propagating the panic so one runaway evaluation
-    /// cannot take down the editor process.
-    Internal(String),
 }
 
 impl fmt::Display for EvalError {
@@ -56,7 +52,6 @@ impl fmt::Display for EvalError {
             EvalError::DivisionByZero => write!(f, "division by zero"),
             EvalError::FreeVariable(x) => write!(f, "free variable {x} during evaluation"),
             EvalError::IllTyped(msg) => write!(f, "ill-typed expression during evaluation: {msg}"),
-            EvalError::Internal(msg) => write!(f, "internal evaluator failure: {msg}"),
         }
     }
 }
@@ -524,37 +519,36 @@ pub fn resume_sigma(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError> {
     Ok(Sigma(out))
 }
 
-/// [`resume_sigma`] on the environment machine, also returning the machine
-/// work counters it accumulated.
+/// [`resume_sigma`] on the environment machine, reporting the machine work
+/// counters it accumulated (including those of a failing entry) to the
+/// trace layer.
 ///
-/// The counters are returned rather than reported so that pool tasks,
-/// which never emit trace events, can hand them back to the coordinating
-/// thread. Results are bit-identical to [`resume_sigma`]'s
-/// (property-tested). Each entry gets a fresh `fuel` budget, exactly as
-/// [`resume`] gives each entry a fresh evaluator.
-pub fn resume_sigma_counted(
-    sigma: &Sigma,
-    fuel: u64,
-) -> (Result<Sigma, EvalError>, crate::machine::MachineCounters) {
+/// Results are bit-identical to [`resume_sigma`]'s (property-tested). Each
+/// entry gets a fresh `fuel` budget, exactly as [`resume`] gives each entry
+/// a fresh evaluator.
+///
+/// # Errors
+///
+/// Propagates evaluation errors from resumed entries.
+pub fn resume_sigma_counted(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError> {
     let mut counters = crate::machine::MachineCounters::default();
     let mut store = TermStore::new();
-    let mut out = std::collections::BTreeMap::new();
-    for (x, d) in sigma.iter() {
-        let resumed = if d.is_closed() {
-            let t = store.intern_iexp(d);
-            let mut machine = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
-            let result = machine.eval(t);
-            counters.merge(machine.counters());
-            match result {
-                Ok(id) => store.to_iexp(id),
-                Err(e) => return (Err(e), counters),
-            }
-        } else {
-            d.clone()
-        };
-        out.insert(x.clone(), resumed);
-    }
-    (Ok(Sigma(out)), counters)
+    let mut resume_entry = |d: &IExp| {
+        if !d.is_closed() {
+            return Ok(d.clone());
+        }
+        let t = store.intern_iexp(d);
+        let mut machine = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
+        let result = machine.eval(t);
+        counters.merge(machine.counters());
+        result.map(|id| store.to_iexp(id))
+    };
+    let resumed: Result<std::collections::BTreeMap<_, _>, EvalError> = sigma
+        .iter()
+        .map(|(x, d)| Ok((x.clone(), resume_entry(d)?)))
+        .collect();
+    report_machine_counters(counters);
+    resumed.map(Sigma)
 }
 
 /// Expression resumption (Def. 4.7, clauses 2 and 3): evaluates `d` if it
@@ -795,7 +789,7 @@ mod tests {
         ]);
         let resumed = resume_sigma(&sigma, DEFAULT_FUEL).unwrap();
         assert_eq!(
-            resume_sigma_counted(&sigma, DEFAULT_FUEL).0,
+            resume_sigma_counted(&sigma, DEFAULT_FUEL),
             Ok(resumed.clone())
         );
         assert_eq!(resumed.get(&Var::new("done")), Some(&IExp::Int(3)));

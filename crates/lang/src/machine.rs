@@ -49,8 +49,7 @@ use crate::store::{Node, TermId, TermStore, VarId};
 
 /// Machine-specific work counters, surfaced through `livelit-trace` as
 /// `machine_steps` / `machine_allocs` / `machine_env_reuse`. All three are
-/// functions of the evaluated terms alone (never of thread scheduling), so
-/// totals stay bit-identical at any worker count.
+/// functions of the evaluated terms alone, so totals are deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineCounters {
     /// Machine transitions executed (one per control-state dispatch).

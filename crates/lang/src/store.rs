@@ -44,27 +44,8 @@
 //! exceeds [`SUBST_MEMO_CAP`] entries — an epoch eviction that costs at
 //! most one lost generation of hits and keeps the common case allocation
 //! free.
-//!
-//! # Snapshots and deltas (parallel evaluation)
-//!
-//! The store is `&mut`-based, so parallel tasks cannot intern into one
-//! store directly. Instead, a store can be *frozen* into an immutable
-//! `Arc<TermStore>` snapshot (`Arc::new(mem::take(&mut store))` — no node
-//! is copied) and each task given a private *delta* store layered over it
-//! ([`TermStore::delta`]). A delta resolves every id below the snapshot's
-//! length through the shared base and appends its own new nodes after it,
-//! so base ids mean the same term in every delta and ids never collide.
-//! After the parallel join, [`TermStore::absorb`] re-interns each delta's
-//! tail into the recovered base **in task order**, deduplicating
-//! structurally equal nodes across deltas and returning a [`StoreRemap`]
-//! from delta-local ids to base ids. Because interning, substitution, and
-//! the fresh-name scheme are all deterministic functions of the visible
-//! term structure (not of store occupancy), a delta-evaluated result
-//! converts to the bit-identical tree the sequential store produces — the
-//! property suite pins this at several pool sizes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::final_form::Classification;
 use crate::ident::{HoleName, Label, LivelitName, Var};
@@ -186,96 +167,6 @@ pub struct TermStore {
     subst_memo: HashMap<(TermId, VarId, TermId), TermId>,
     counters: StoreCounters,
     reported: StoreCounters,
-    /// Frozen snapshot this store extends (a *delta* store). `None` for
-    /// ordinary flat stores. All tables above then hold only the tail:
-    /// global id `base_nodes + i` lives at local index `i`.
-    base: Option<Arc<TermStore>>,
-    /// Number of term ids resolved through `base` (== `base.len()`).
-    base_nodes: u32,
-    /// Number of var ids resolved through `base`.
-    base_vars: u32,
-}
-
-/// Maps the ids a delta store assigned to its tail onto the ids the base
-/// store assigned when [`TermStore::absorb`]ing that delta. Ids below the
-/// delta's base length are unchanged by construction.
-#[derive(Debug, Clone, Default)]
-pub struct StoreRemap {
-    terms: HashMap<TermId, TermId>,
-    vars: HashMap<VarId, VarId>,
-    base_nodes: u32,
-    base_vars: u32,
-}
-
-impl StoreRemap {
-    /// The base-store id for a delta-store term id.
-    pub fn term(&self, t: TermId) -> TermId {
-        if t.0 < self.base_nodes {
-            t
-        } else {
-            *self.terms.get(&t).expect("term id not in absorbed delta")
-        }
-    }
-
-    /// The base-store id for a delta-store variable id.
-    pub fn var(&self, x: VarId) -> VarId {
-        if x.0 < self.base_vars {
-            x
-        } else {
-            *self.vars.get(&x).expect("var id not in absorbed delta")
-        }
-    }
-}
-
-/// Rebuilds `node` with every child id passed through the given maps.
-fn remap_node(node: &Node, term: impl Fn(TermId) -> TermId, var: impl Fn(VarId) -> VarId) -> Node {
-    use Node::*;
-    let sigma = |s: &[(VarId, TermId)]| -> Box<[(VarId, TermId)]> {
-        s.iter().map(|(v, e)| (var(*v), term(*e))).collect()
-    };
-    match node {
-        Var(x) => Var(var(*x)),
-        Lam(x, ty, b) => Lam(var(*x), ty.clone(), term(*b)),
-        Ap(a, b) => Ap(term(*a), term(*b)),
-        Fix(x, ty, b) => Fix(var(*x), ty.clone(), term(*b)),
-        Int(n) => Int(*n),
-        Float(bits) => Float(*bits),
-        Bool(b) => Bool(*b),
-        Str(s) => Str(s.clone()),
-        Unit => Unit,
-        Bin(op, a, b) => Bin(*op, term(*a), term(*b)),
-        If(c, t, e) => If(term(*c), term(*t), term(*e)),
-        Tuple(fields) => Tuple(fields.iter().map(|(l, e)| (l.clone(), term(*e))).collect()),
-        Proj(e, l) => Proj(term(*e), l.clone()),
-        Inj(ty, l, e) => Inj(ty.clone(), l.clone(), term(*e)),
-        Case(scrut, arms) => Case(
-            term(*scrut),
-            arms.iter()
-                .map(|(l, v, body)| (l.clone(), var(*v), term(*body)))
-                .collect(),
-        ),
-        Nil(ty) => Nil(ty.clone()),
-        Cons(a, b) => Cons(term(*a), term(*b)),
-        ListCase(scrut, nil, h, t, cons) => {
-            ListCase(term(*scrut), term(*nil), var(*h), var(*t), term(*cons))
-        }
-        Roll(ty, e) => Roll(ty.clone(), term(*e)),
-        Unroll(e) => Unroll(term(*e)),
-        EmptyHole(u, s) => EmptyHole(*u, sigma(s)),
-        NonEmptyHole(u, s, inner) => NonEmptyHole(*u, sigma(s), term(*inner)),
-        ULet(x, ty, a, b) => ULet(var(*x), ty.clone(), term(*a), term(*b)),
-        UAsc(e, ty) => UAsc(term(*e), ty.clone()),
-        ULivelit(name, splices, u) => ULivelit(
-            name.clone(),
-            splices
-                .iter()
-                .map(|(e, ty)| (term(*e), ty.clone()))
-                .collect(),
-            *u,
-        ),
-        UEmptyHole(u) => UEmptyHole(*u),
-        UNonEmptyHole(u, e) => UNonEmptyHole(*u, term(*e)),
-    }
 }
 
 fn is_final_class(c: Classification) -> bool {
@@ -288,75 +179,14 @@ impl TermStore {
         TermStore::default()
     }
 
-    /// The number of distinct interned nodes (occupancy), including any
-    /// frozen base this store extends.
+    /// The number of distinct interned nodes (occupancy).
     pub fn len(&self) -> usize {
-        self.base_nodes as usize + self.nodes.len()
+        self.nodes.len()
     }
 
     /// Whether the store has no nodes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The number of distinct interned variable names, including the base.
-    fn vars_len(&self) -> usize {
-        self.base_vars as usize + self.vars.len()
-    }
-
-    /// A private delta store over a frozen snapshot: reads resolve through
-    /// the shared base, new nodes append after it. Cheap to create — no
-    /// node is copied. See the module docs on snapshots and deltas.
-    pub fn delta(base: &Arc<TermStore>) -> TermStore {
-        TermStore {
-            base_nodes: u32::try_from(base.len()).expect("term table overflow"),
-            base_vars: u32::try_from(base.vars_len()).expect("var table overflow"),
-            base: Some(Arc::clone(base)),
-            ..TermStore::default()
-        }
-    }
-
-    /// Drops this delta's reference to its frozen base so the caller can
-    /// recover the base with `Arc::try_unwrap`. The delta keeps only its
-    /// tail tables afterwards — valid input for [`TermStore::absorb`], but
-    /// no longer able to resolve base ids.
-    pub fn release_base(&mut self) {
-        self.base = None;
-    }
-
-    /// Re-interns a (released) delta's tail into this store, deduplicating
-    /// against everything already present, and returns the id remapping.
-    ///
-    /// Sound when this store extends the prefix the delta was built over —
-    /// which holds when it *is* the recovered snapshot, possibly after
-    /// absorbing earlier deltas (absorption only appends). Children below
-    /// the delta's base length are identical in both stores, so only tail
-    /// ids are remapped. Absorbing the same deltas in the same order is
-    /// deterministic.
-    pub fn absorb(&mut self, delta: &TermStore) -> StoreRemap {
-        assert!(
-            delta.base_nodes as usize <= self.len() && delta.base_vars as usize <= self.vars_len(),
-            "delta was built over a longer store than the absorb target"
-        );
-        let mut remap = StoreRemap {
-            base_nodes: delta.base_nodes,
-            base_vars: delta.base_vars,
-            ..StoreRemap::default()
-        };
-        for (i, x) in delta.vars.iter().enumerate() {
-            let old = VarId(delta.base_vars + i as u32);
-            let new = self.intern_var(x);
-            remap.vars.insert(old, new);
-        }
-        for (i, node) in delta.nodes.iter().enumerate() {
-            let old = TermId(delta.base_nodes + i as u32);
-            // Children have strictly smaller ids, so every tail child is
-            // already in `remap.terms`.
-            let rebuilt = remap_node(node, |t| remap.term(t), |x| remap.var(x));
-            let new = self.intern(rebuilt);
-            remap.terms.insert(old, new);
-        }
-        remap
     }
 
     /// The counters accumulated so far.
@@ -389,52 +219,22 @@ impl TermStore {
         livelit_trace::count(Counter::SubstMemoMisses, d.subst_memo_misses);
     }
 
-    /// The base store that resolves `t`, and `t`'s index into its tables.
-    /// Inlined two-level fast path: delta chains are one level deep in
-    /// practice, but resolution recurses soundly through any depth.
-    fn resolve(&self, t: TermId) -> (&TermStore, usize) {
-        if t.0 >= self.base_nodes {
-            (self, (t.0 - self.base_nodes) as usize)
-        } else {
-            self.base
-                .as_ref()
-                .expect("id below base length in a baseless store")
-                .resolve(t)
-        }
-    }
-
     /// The node for `t`.
     pub fn node(&self, t: TermId) -> &Node {
-        let (store, i) = self.resolve(t);
-        &store.nodes[i]
+        &self.nodes[t.0 as usize]
     }
 
     /// The interned variable name for `x`.
     pub fn var(&self, x: VarId) -> &Var {
-        if x.0 >= self.base_vars {
-            &self.vars[(x.0 - self.base_vars) as usize]
-        } else {
-            self.base
-                .as_ref()
-                .expect("var id below base length in a baseless store")
-                .var(x)
-        }
-    }
-
-    /// Looks a variable name up across the base chain.
-    fn lookup_var(&self, name: &str) -> Option<VarId> {
-        self.var_index
-            .get(name)
-            .copied()
-            .or_else(|| self.base.as_ref().and_then(|b| b.lookup_var(name)))
+        &self.vars[x.0 as usize]
     }
 
     /// Interns a variable name.
     pub fn intern_var(&mut self, x: &Var) -> VarId {
-        if let Some(id) = self.lookup_var(x.as_str()) {
+        if let Some(&id) = self.var_index.get(x.as_str()) {
             return id;
         }
-        let id = VarId(u32::try_from(self.vars_len()).expect("var table overflow"));
+        let id = VarId(u32::try_from(self.vars.len()).expect("var table overflow"));
         self.vars.push(x.clone());
         self.var_index.insert(x.clone(), id);
         id
@@ -442,8 +242,7 @@ impl TermStore {
 
     /// The exact free variables of `t`, sorted by [`VarId`].
     pub fn free_vars(&self, t: TermId) -> &[VarId] {
-        let (store, i) = self.resolve(t);
-        &store.fvs[i]
+        &self.fvs[t.0 as usize]
     }
 
     /// Whether `t` has no free variables. O(1).
@@ -453,15 +252,14 @@ impl TermStore {
 
     /// Whether `x` is free in `t`.
     pub fn fv_contains(&self, t: TermId, x: VarId) -> bool {
-        let (store, i) = self.resolve(t);
+        let i = t.0 as usize;
         let mask = 1u64 << (x.0 & 63);
-        store.fv_masks[i] & mask != 0 && store.fvs[i].binary_search(&x).is_ok()
+        self.fv_masks[i] & mask != 0 && self.fvs[i].binary_search(&x).is_ok()
     }
 
     /// The cached finality classification of `t`. O(1).
     pub fn classification(&self, t: TermId) -> Classification {
-        let (store, i) = self.resolve(t);
-        store.class[i]
+        self.class[t.0 as usize]
     }
 
     /// Whether `t` is final (a value or indeterminate). O(1).
@@ -469,18 +267,10 @@ impl TermStore {
         is_final_class(self.classification(t))
     }
 
-    /// Looks a node up across the base chain.
-    fn lookup_node(&self, node: &Node) -> Option<TermId> {
-        self.index
-            .get(node)
-            .copied()
-            .or_else(|| self.base.as_ref().and_then(|b| b.lookup_node(node)))
-    }
-
     /// Interns a node, returning the existing id when a structurally equal
-    /// node is already present (here or in the frozen base).
+    /// node is already present.
     pub fn intern(&mut self, node: Node) -> TermId {
-        if let Some(id) = self.lookup_node(&node) {
+        if let Some(&id) = self.index.get(&node) {
             self.counters.interner_hits += 1;
             return id;
         }
@@ -911,15 +701,6 @@ impl TermStore {
         self.subst_one_rec(t, x, r)
     }
 
-    /// Looks a memoized substitution up across the base chain: a delta
-    /// store inherits the snapshot's warm memo read-only.
-    fn memo_get(&self, key: &(TermId, VarId, TermId)) -> Option<TermId> {
-        self.subst_memo
-            .get(key)
-            .copied()
-            .or_else(|| self.base.as_ref().and_then(|b| b.memo_get(key)))
-    }
-
     fn memo_insert(&mut self, key: (TermId, VarId, TermId), value: TermId) {
         if self.subst_memo.len() >= SUBST_MEMO_CAP {
             self.subst_memo.clear();
@@ -934,7 +715,7 @@ impl TermStore {
         if !self.fv_contains(t, x) {
             return t;
         }
-        if let Some(cached) = self.memo_get(&(t, x, r)) {
+        if let Some(&cached) = self.subst_memo.get(&(t, x, r)) {
             self.counters.subst_memo_hits += 1;
             return cached;
         }
@@ -1071,7 +852,7 @@ impl TermStore {
         let mut i = 1u32;
         loop {
             let candidate = format!("{base_str}%{i}");
-            match self.lookup_var(candidate.as_str()) {
+            match self.var_index.get(candidate.as_str()).copied() {
                 Some(vid) => {
                     if !self.fv_contains(r, vid) && !self.fv_contains(body, vid) {
                         return vid;
@@ -1281,7 +1062,7 @@ impl TermStore {
         let mut i = 1u32;
         loop {
             let candidate = format!("{base_str}%{i}");
-            match self.lookup_var(candidate.as_str()) {
+            match self.var_index.get(candidate.as_str()).copied() {
                 Some(vid) => {
                     let avoided = avoid_mask & (1u64 << (vid.0 & 63)) != 0
                         && avoid.binary_search(&vid).is_ok();
@@ -1606,112 +1387,6 @@ mod tests {
         let c = store.intern_uexp_skeleton(&inv(IExp::Int(10), 2));
         assert_eq!(a, b, "model changes must not change the skeleton id");
         assert_ne!(a, c, "splice changes must change the skeleton id");
-    }
-
-    #[test]
-    fn delta_store_resolves_base_ids_and_appends_after_them() {
-        let mut base = TermStore::new();
-        let shared = base.intern_iexp(&lam("x", v("x")));
-        let base_len = base.len();
-        let frozen = Arc::new(base);
-        let mut delta = TermStore::delta(&frozen);
-        // Base ids resolve identically through the delta.
-        assert_eq!(delta.to_iexp(shared), frozen.to_iexp(shared));
-        // Re-interning a base term is a hit, not a new node.
-        assert_eq!(delta.intern_iexp(&lam("x", v("x"))), shared);
-        assert_eq!(delta.len(), base_len);
-        // A new term appends after the base.
-        let novel = delta.intern_iexp(&IExp::Int(42));
-        assert!(novel.0 as usize >= base_len);
-        assert_eq!(delta.to_iexp(novel), IExp::Int(42));
-    }
-
-    #[test]
-    fn delta_substitution_is_bit_identical_to_flat_store() {
-        // The capture-avoiding rename must pick the same fresh names
-        // whether the body lives in a flat store or a delta over a
-        // populated base.
-        let e = lam(
-            "y",
-            IExp::Bin(BinOp::Add, Box::new(v("x")), Box::new(v("y%1"))),
-        );
-        let mut flat = TermStore::new();
-        let tf = flat.intern_iexp(&e);
-        let xf = flat.intern_var(&Var::new("x"));
-        let rf = flat.intern_iexp(&v("y"));
-        let flat_sub = flat.subst_one(tf, xf, rf);
-        let flat_out = flat.to_iexp(flat_sub);
-
-        let mut base = TermStore::new();
-        // Unrelated base population, including the clashing names.
-        base.intern_iexp(&lam("y%2", lam("q", v("y%1"))));
-        let frozen = Arc::new(base);
-        let mut delta = TermStore::delta(&frozen);
-        let td = delta.intern_iexp(&e);
-        let xd = delta.intern_var(&Var::new("x"));
-        let rd = delta.intern_iexp(&v("y"));
-        let delta_sub = delta.subst_one(td, xd, rd);
-        let delta_out = delta.to_iexp(delta_sub);
-        assert_eq!(flat_out, delta_out);
-    }
-
-    #[test]
-    fn absorb_remaps_and_dedups_across_deltas() {
-        let mut base = TermStore::new();
-        let pre = base.intern_iexp(&v("shared"));
-        let frozen = Arc::new(base);
-
-        let mut d1 = TermStore::delta(&frozen);
-        let a1 = d1.intern_iexp(&IExp::Bin(
-            BinOp::Add,
-            Box::new(v("shared")),
-            Box::new(IExp::Int(1)),
-        ));
-        let mut d2 = TermStore::delta(&frozen);
-        // Same new term in a sibling delta — ids collide by construction...
-        let a2 = d2.intern_iexp(&IExp::Bin(
-            BinOp::Add,
-            Box::new(v("shared")),
-            Box::new(IExp::Int(1)),
-        ));
-        let b2 = d2.intern_iexp(&IExp::Int(99));
-        assert_eq!(a1, a2);
-
-        d1.release_base();
-        d2.release_base();
-        let mut recovered = Arc::try_unwrap(frozen).expect("all deltas released");
-        let r1 = recovered.absorb(&d1);
-        let r2 = recovered.absorb(&d2);
-        // ...but absorb dedups them onto one id.
-        assert_eq!(r1.term(a1), r2.term(a2));
-        // Base ids pass through unchanged.
-        assert_eq!(r1.term(pre), pre);
-        // The absorbed results denote the same trees.
-        assert_eq!(
-            recovered.to_iexp(r1.term(a1)),
-            IExp::Bin(BinOp::Add, Box::new(v("shared")), Box::new(IExp::Int(1)))
-        );
-        assert_eq!(recovered.to_iexp(r2.term(b2)), IExp::Int(99));
-    }
-
-    #[test]
-    fn absorb_order_is_deterministic() {
-        let build = || {
-            let mut base = TermStore::new();
-            base.intern_iexp(&v("w"));
-            let frozen = Arc::new(base);
-            let mut d1 = TermStore::delta(&frozen);
-            let x1 = d1.intern_iexp(&lam("a", v("a")));
-            let mut d2 = TermStore::delta(&frozen);
-            let x2 = d2.intern_iexp(&IExp::Cons(Box::new(v("w")), Box::new(IExp::Nil(Typ::Int))));
-            d1.release_base();
-            d2.release_base();
-            let mut s = Arc::try_unwrap(frozen).expect("released");
-            let m1 = s.absorb(&d1);
-            let m2 = s.absorb(&d2);
-            (m1.term(x1), m2.term(x2), s.len())
-        };
-        assert_eq!(build(), build());
     }
 
     #[test]

@@ -447,8 +447,9 @@ impl Server {
             self.totals.errors += 1;
         }
         self.totals.requests += 1;
-        // Durability before acknowledgment: the journal append (and its
-        // flush) lands before this reply can reach any client.
+        // Journal before acknowledgment: the append reaches the OS before
+        // this reply can reach any client, so an ack survives a killed
+        // process (see `snapshot` for what it does not survive).
         self.journal_line(op.as_deref(), session.as_deref(), ok, line);
         let mut text = reply.to_string();
         if let (Some(metrics), Some(start)) = (self.metrics.as_ref(), start) {
@@ -903,8 +904,7 @@ impl Server {
     fn op_stats(&mut self, req: &Json) -> RequestResult {
         let mut fields = vec![("ok", Json::Bool(true)), ("op", jstr("stats"))];
         // The open-session count only appears in the global scope: a
-        // per-session reply must read the same whether the request was
-        // handled sequentially or inside a batch sub-server.
+        // per-session reply depends only on that session's traffic.
         let stats = match req.get("session") {
             Some(Json::Str(name)) => {
                 let session = self.sessions.get(name).ok_or_else(|| {
@@ -944,14 +944,13 @@ impl Server {
     }
 
     /// `metrics`: a whole-server observability snapshot. The deterministic
-    /// core (session table, request totals, scheduler gauges) is always
+    /// core (session table, request totals, retained view nodes) is always
     /// present; latency histograms, phase attribution, byte counts, and
     /// uptime appear when the host attached a [`ServeMetrics`]; passing
     /// `"slow":true` additionally dumps the slow-request ranking (with
     /// captured span trees when a tracer fed the capture).
     fn op_metrics(&mut self, req: &Json) -> RequestResult {
         let want_slow = matches!(req.get("slow"), Some(Json::Bool(true)));
-        let gauges = livelit_sched::gauges();
         let mut fields = vec![
             ("ok", Json::Bool(true)),
             ("op", jstr("metrics")),
@@ -963,10 +962,6 @@ impl Server {
             ("patches", uint(self.totals.patches)),
             ("patch_bytes", uint(self.totals.patch_bytes)),
             ("full_bytes", uint(self.totals.full_bytes)),
-            ("queue_depth", uint(gauges.queue_depth)),
-            ("sched_tasks", uint(gauges.tasks)),
-            ("sched_steals", uint(gauges.steals)),
-            ("workers", uint(livelit_sched::configured_workers() as u64)),
             (
                 // A true gauge (not a counter total): view nodes currently
                 // retained across every open session's snapshots.
@@ -1108,141 +1103,6 @@ impl Server {
             ("op", jstr("close")),
             ("session", jstr(name)),
         ]))
-    }
-
-    /// Handles a batch of request lines, multiplexing distinct sessions
-    /// onto the global `livelit-sched` pool. Replies come back in input
-    /// order, identical to calling [`Server::handle_line`] per line —
-    /// requests for the *same* session keep their relative order; only
-    /// requests for different sessions overlap in time.
-    ///
-    /// Session-less and unparseable requests are handled sequentially
-    /// before the fan-out. Intended for headless load (the B14 bench).
-    /// Tracers are per thread, so requests served on the pool's worker
-    /// threads record nothing even when the caller has a tracer installed.
-    pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
-        use std::sync::Mutex;
-
-        // Partition line indices by session, preserving in-session order.
-        let mut by_session: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut control: Vec<usize> = Vec::new();
-        for (i, line) in lines.iter().enumerate() {
-            match json::parse(line)
-                .ok()
-                .as_ref()
-                .and_then(|req| req.get("session").and_then(Json::as_str).map(str::to_owned))
-            {
-                Some(name) => by_session.entry(name).or_default().push(i),
-                None => control.push(i),
-            }
-        }
-
-        let mut replies: Vec<Option<String>> = vec![None; lines.len()];
-        for &i in &control {
-            replies[i] = Some(self.handle_line(&lines[i]));
-        }
-
-        // Move each session's state into a single-session sub-server and
-        // run the groups as pool tasks. `open` requests create their
-        // session inside the task; the state is folded back in afterwards.
-        let groups: Vec<(String, Vec<usize>)> = by_session.into_iter().collect();
-        let tasks: Vec<Mutex<Server>> = groups
-            .iter()
-            .map(|(name, _)| {
-                let mut sub = Server::with_registry(Arc::clone(&self.make_registry));
-                // Sub-servers share the parent's metrics aggregate, so
-                // batch traffic still lands in the histograms (recording
-                // is atomics — thread-safe by construction).
-                if let Some(metrics) = self.metrics.as_ref() {
-                    sub.enable_metrics(metrics.clone());
-                }
-                if let Some(session) = self.sessions.remove(name) {
-                    sub.sessions.insert(name.clone(), session);
-                }
-                Mutex::new(sub)
-            })
-            .collect();
-        let (outcomes, _stats) = livelit_sched::Pool::global().map(&tasks, |gi, task| {
-            let mut sub = task
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            groups[gi]
-                .1
-                .iter()
-                .map(|&i| sub.handle_line(&lines[i]))
-                .collect::<Vec<String>>()
-        });
-        for ((group, task), outcome) in groups.iter().zip(tasks).zip(outcomes) {
-            let sub = task
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Fold the sub-server's deterministic totals back, so `stats`,
-            // `metrics`, and `watch` agree with the sequential path.
-            self.totals.merge(&sub.totals);
-            self.retired.merge(&sub.retired);
-            self.retired_sessions += sub.retired_sessions;
-            self.next_req += sub.next_req;
-            self.shutdown |= sub.shutdown;
-            for (name, session) in sub.sessions {
-                self.sessions.insert(name, session);
-            }
-            match outcome {
-                Ok(group_replies) => {
-                    for (&i, reply) in group.1.iter().zip(group_replies) {
-                        replies[i] = Some(reply);
-                    }
-                }
-                Err(panic) => {
-                    // `handle_line` catches panics itself, so this is a
-                    // last-resort belt: the whole group degrades to error
-                    // replies rather than a lost batch.
-                    for &i in &group.1 {
-                        replies[i] = Some(
-                            error_reply(
-                                None,
-                                None,
-                                &RequestError::new(
-                                    ErrorKind::Panic,
-                                    format!("batch task panicked: {}", panic.message),
-                                ),
-                            )
-                            .to_string(),
-                        );
-                    }
-                }
-            }
-        }
-        let replies: Vec<String> = replies
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    error_reply(
-                        None,
-                        None,
-                        &RequestError::new(ErrorKind::Panic, "reply lost in batch"),
-                    )
-                    .to_string()
-                })
-            })
-            .collect();
-        // Journal the batch in input order, applying the same rule the
-        // sequential path applies per line (sub-servers never journal —
-        // the parent owns the store).
-        if self.snapshots.is_some() && !self.replaying {
-            for (line, reply) in lines.iter().zip(&replies) {
-                let req = json::parse(line).ok();
-                let field = |key: &str| -> Option<String> {
-                    req.as_ref()
-                        .and_then(|r| r.get(key).and_then(Json::as_str))
-                        .map(str::to_owned)
-                };
-                let (op, session) = (field("op"), field("session"));
-                let ok =
-                    json::parse(reply).is_ok_and(|r| matches!(r.get("ok"), Some(Json::Bool(true))));
-                self.journal_line(op.as_deref(), session.as_deref(), ok, line);
-            }
-        }
-        replies
     }
 }
 

@@ -2,10 +2,10 @@
 //! request totals, and slow-request rankings.
 //!
 //! [`ServeMetrics`] is a cheap shared handle (`Arc` inside): the CLI holds
-//! one for its `--metrics-interval` reporter thread, the [`crate::Server`]
-//! holds one to record each request, and batch sub-servers share the same
-//! aggregate. Everything it records is atomics or a short-held mutex —
-//! recording never blocks request handling on another request's work.
+//! one for its `--metrics-interval` reporter thread, and the
+//! [`crate::Server`] holds one to record each request. Everything it
+//! records is atomics or a short-held mutex — recording never blocks
+//! request handling on another request's work.
 //!
 //! Nothing here feeds reply bytes unless the client asks (the `metrics`
 //! op, or a `timings` opt-in at `open`), so transcripts stay byte-identical

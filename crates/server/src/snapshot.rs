@@ -3,15 +3,26 @@
 //! Rather than serializing live engine state (caches, retained view
 //! arenas, interned term stores — all shared-pointer graphs), the
 //! snapshot of a session is the *request journal* that built it: every
-//! handled request line addressed to the session, appended and flushed
+//! handled request line addressed to the session, written to the OS
 //! before the reply is released to the client. The serving pipeline is
 //! deterministic — the property the golden transcripts pin — so
 //! replaying a journal through a fresh server reconstructs the
 //! document, engine caches, acked view generations, and per-session
-//! stats byte-identically. "Acked implies durable": a client that saw a
-//! reply will find that request's effects after a restart, and a
-//! request the server never replied to was never journaled, so clients
-//! resume by re-sending from their first unacknowledged request.
+//! stats byte-identically.
+//!
+//! # What an ack survives
+//!
+//! Each record is handed to the OS with unbuffered `write`s before its
+//! reply ships ([`SnapshotStore::append`]), so
+//! **acked requests survive a killed process** (`kill -9`, an OOM
+//! kill): a client that saw a reply will find that
+//! request's effects after a restart. They do **not** necessarily survive
+//! a power loss or kernel crash: [`SnapshotStore::sync`] (`sync_data`)
+//! runs only every `sync_interval` on sockets (5 s by default) and at
+//! drain, and on stdio only at exit, so the acks since the last sync can
+//! be lost. A request the server never replied to was never journaled,
+//! so clients resume by re-sending from their first unacknowledged
+//! request.
 //!
 //! # Format (version 1)
 //!
@@ -26,7 +37,7 @@
 //! ```
 //!
 //! A crash can tear at most the final record (appends are sequential
-//! and flushed per request); [`read_journal`] recovers the intact
+//! and written per request); [`read_journal`] recovers the intact
 //! prefix and flags the torn tail. Anything worse — wrong magic, an
 //! unknown version, an impossible record length, a record that is not
 //! UTF-8 — is a structured error for that journal (surfaced by the
@@ -165,9 +176,12 @@ impl SnapshotStore {
         self.dir.join(format!("{}.{EXTENSION}", file_stem(session)))
     }
 
-    /// Appends one request line to `session`'s journal and flushes it,
-    /// returning the bytes written. Must complete before the reply ships
-    /// — that ordering is the whole durability contract.
+    /// Appends one request line to `session`'s journal, handing it to the
+    /// OS, and returns the bytes written. Must complete before the reply
+    /// ships — that ordering is what lets an ack survive a killed process
+    /// (see the module docs; surviving a power loss also needs [`sync`]).
+    ///
+    /// [`sync`]: SnapshotStore::sync
     ///
     /// # Errors
     ///
@@ -194,7 +208,6 @@ impl SnapshotStore {
         })?;
         file.write_all(&len.to_le_bytes())?;
         file.write_all(line.as_bytes())?;
-        file.flush()?;
         wrote += 4 + line.len() as u64;
         Ok(wrote)
     }

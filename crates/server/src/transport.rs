@@ -9,8 +9,7 @@
 //! the OS scheduler doing the multiplexing. Request handling itself is
 //! serialized through the shared [`Server`] mutex, preserving the
 //! protocol's deterministic one-line-in/one-line-out semantics; the
-//! transport's job is I/O overlap, not evaluation parallelism (that
-//! lives in `livelit-sched` under the engine).
+//! transport's job is I/O overlap, not evaluation parallelism.
 //!
 //! # Connection state machine
 //!
@@ -82,9 +81,9 @@ pub struct TransportConfig {
     /// At drain, how long to wait for handler threads to finish before
     /// abandoning the stragglers.
     pub drain_wait: Duration,
-    /// How often the accept loop fsyncs session journals. Appends are
-    /// already flushed per request; this bounds how much the OS page
-    /// cache can hold back from stable storage.
+    /// How often the accept loop fsyncs session journals. Appends reach
+    /// the OS per request, which survives a killed process; this interval
+    /// bounds how many acked requests a power loss can take.
     pub sync_interval: Duration,
 }
 

@@ -1,8 +1,15 @@
 //! End-to-end protocol tests: a server over the standard livelit library,
 //! driven through the same line-in/line-out interface `hazel serve` uses.
 
+use hazel_lang::external::EExp;
+use hazel_lang::ident::LivelitName;
+use hazel_lang::typ::Typ;
+use livelit_mvu::html::Html;
+use livelit_mvu::livelit::{Action, CmdError, Livelit, Model, UpdateCtx, ViewCtx};
+use livelit_mvu::splice::SpliceRef;
 use livelit_server::json::{self, Json};
 use livelit_server::Server;
+use livelit_std::slider::SliderLivelit;
 use std::sync::Arc;
 
 const SLIDER_DOC: &str = "$slider@0{10}(0 : Int; 100 : Int)";
@@ -181,34 +188,96 @@ fn ids_are_echoed_on_ok_and_error_replies() {
     assert_eq!(error_kind(&err), "session");
 }
 
+/// `$slider` with an `update` that panics: a stand-in for any bug that
+/// panics mid-pipeline.
+#[derive(Debug)]
+struct PanickingSlider;
+
+impl Livelit for PanickingSlider {
+    fn name(&self) -> LivelitName {
+        LivelitName::new("$bomb")
+    }
+    fn param_tys(&self) -> Vec<Typ> {
+        SliderLivelit.param_tys()
+    }
+    fn expansion_ty(&self) -> Typ {
+        SliderLivelit.expansion_ty()
+    }
+    fn model_ty(&self) -> Typ {
+        SliderLivelit.model_ty()
+    }
+    fn init(&self, params: &[SpliceRef], ctx: &mut UpdateCtx<'_>) -> Result<Model, CmdError> {
+        SliderLivelit.init(params, ctx)
+    }
+    fn update(&self, _: &Model, _: &Action, _: &mut UpdateCtx<'_>) -> Result<Model, CmdError> {
+        panic!("$bomb update exploded")
+    }
+    fn view(&self, model: &Model, ctx: &mut ViewCtx<'_>) -> Result<Html<Action>, CmdError> {
+        SliderLivelit.view(model, ctx)
+    }
+    fn expand(&self, model: &Model) -> Result<(EExp, Vec<SpliceRef>), String> {
+        SliderLivelit.expand(model)
+    }
+}
+
+fn server_with_bomb() -> Server {
+    Server::with_registry(Arc::new(|| {
+        let mut registry = hazel_editor::LivelitRegistry::new();
+        livelit_std::register_all(&mut registry);
+        registry
+            .register(Arc::new(PanickingSlider))
+            .expect("$bomb passes registration lints");
+        registry
+    }))
+}
+
+/// The `catch_unwind` in `Server::handle_line` is the only panic boundary:
+/// a request that panics mid-pipeline gets a structured `panic` reply, and
+/// every other session is served exactly as if the panic never happened.
 #[test]
-fn batch_replies_match_sequential_replies() {
-    let lines: Vec<String> = vec![
-        format!("{{\"op\":\"open\",\"session\":\"a\",\"source\":{SLIDER_DOC:?}}}"),
-        format!("{{\"op\":\"open\",\"session\":\"b\",\"source\":{SLIDER_DOC:?}}}"),
-        "{\"op\":\"render\",\"session\":\"a\"}".to_owned(),
-        "{\"op\":\"edit\",\"session\":\"b\",\"edit\":{\"kind\":\"dispatch\",\"at\":0,\"action\":\"(.set 3)\"}}".to_owned(),
-        "{\"op\":\"dispatch\",\"session\":\"a\",\"hole\":0,\"target\":\"inc\"}".to_owned(),
-        "{\"op\":\"render\",\"session\":\"b\"}".to_owned(),
-        "{\"op\":\"render\",\"session\":\"a\"}".to_owned(),
-        "not json at all".to_owned(),
-        "{\"op\":\"stats\",\"session\":\"a\"}".to_owned(),
+fn a_panicking_request_is_isolated_to_its_own_reply() {
+    let healthy = [
+        format!("{{\"op\":\"open\",\"session\":\"ok\",\"source\":{SLIDER_DOC:?}}}"),
+        "{\"op\":\"render\",\"session\":\"ok\"}".to_owned(),
+        "{\"op\":\"dispatch\",\"session\":\"ok\",\"hole\":0,\"target\":\"inc\",\"event\":\"click\"}"
+            .to_owned(),
+        "{\"op\":\"render\",\"session\":\"ok\"}".to_owned(),
+        "{\"op\":\"stats\",\"session\":\"ok\"}".to_owned(),
     ];
+    let mut untouched = server_with_bomb();
+    let expected: Vec<String> = healthy.iter().map(|l| untouched.handle_line(l)).collect();
 
-    let mut sequential = std_server();
-    let expected: Vec<String> = lines.iter().map(|l| sequential.handle_line(l)).collect();
-
-    livelit_sched::set_workers_override(Some(2));
-    let mut batched = std_server();
-    let got = batched.handle_batch(&lines);
-    livelit_sched::set_workers_override(None);
-
+    let mut server = server_with_bomb();
+    let mut got = Vec::new();
+    got.push(server.handle_line(&healthy[0]));
+    got.push(server.handle_line(&healthy[1]));
+    assert_ok(&reply(
+        &mut server,
+        "{\"op\":\"open\",\"session\":\"boom\",\"source\":\"$bomb@0{10}(0 : Int; 100 : Int)\"}",
+    ));
+    assert_ok(&reply(
+        &mut server,
+        "{\"op\":\"render\",\"session\":\"boom\"}",
+    ));
+    let blown = reply(
+        &mut server,
+        "{\"op\":\"dispatch\",\"id\":9,\"session\":\"boom\",\"hole\":0,\"target\":\"inc\",\"event\":\"click\"}",
+    );
+    assert_eq!(error_kind(&blown), "panic");
+    assert_eq!(blown.get("id"), Some(&Json::Int(9)));
+    let message = blown
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("panic replies carry a message");
+    assert!(message.contains("$bomb update exploded"), "{message}");
+    got.extend(healthy[2..].iter().map(|l| server.handle_line(l)));
     assert_eq!(got, expected);
-    assert_eq!(batched.session_count(), 2);
-    // Batched state folds back into the server: a follow-up sequential
-    // request sees the edits made inside the pool tasks.
-    let render = reply(&mut batched, "{\"op\":\"render\",\"session\":\"b\"}");
-    assert_eq!(render.get("result").and_then(Json::as_str), Some("3"));
+
+    let stats = reply(&mut server, "{\"op\":\"stats\"}");
+    assert_ok(&stats);
+    assert_eq!(stats.get("sessions"), Some(&Json::Int(2)));
+    assert_eq!(stats.get("errors"), Some(&Json::Int(1)));
 }
 
 #[test]

@@ -61,14 +61,6 @@ pub enum Counter {
     SpliceCacheHits,
     /// Live splice evaluations computed and cached.
     SpliceCacheMisses,
-    /// Tasks executed by the work-stealing evaluation pool.
-    SchedTasks,
-    /// Pool tasks a worker stole from a sibling's deque. Nondeterministic;
-    /// emitted only when nonzero so deterministic traces stay stable.
-    SchedSteals,
-    /// Worker-nanoseconds the pool spent idle (wall × workers − busy).
-    /// Nondeterministic; emitted only when nonzero.
-    SchedIdleNs,
     /// Splice-result cache entries retired by a generation rotation.
     SpliceCacheEvictions,
     /// Requests handled by the document server (well-formed or not).
@@ -131,7 +123,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 44] = [
+    pub const ALL: [Counter; 41] = [
         Counter::HolesRemaining,
         Counter::ExpansionsPerformed,
         Counter::SplicesEvaluated,
@@ -151,9 +143,6 @@ impl Counter {
         Counter::ExpansionCacheMisses,
         Counter::SpliceCacheHits,
         Counter::SpliceCacheMisses,
-        Counter::SchedTasks,
-        Counter::SchedSteals,
-        Counter::SchedIdleNs,
         Counter::SpliceCacheEvictions,
         Counter::ServeRequests,
         Counter::ServeErrors,
@@ -206,9 +195,6 @@ impl Counter {
             Counter::ExpansionCacheMisses => "expansion_cache_misses",
             Counter::SpliceCacheHits => "splice_cache_hits",
             Counter::SpliceCacheMisses => "splice_cache_misses",
-            Counter::SchedTasks => "sched_tasks",
-            Counter::SchedSteals => "sched_steals",
-            Counter::SchedIdleNs => "sched_idle_ns",
             Counter::SpliceCacheEvictions => "splice_cache_evictions",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeErrors => "serve_errors",

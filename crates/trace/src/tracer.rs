@@ -8,8 +8,7 @@
 //! that installed it. Concurrent traced sections on different threads —
 //! parallel tests, server handler threads — therefore never write into
 //! each other's sinks, and a thread records nothing unless it installs a
-//! tracer of its own. Scheduler pool workers never emit events: they
-//! return their counts to the coordinating thread, which reports them.
+//! tracer of its own.
 
 use std::borrow::Cow;
 use std::cell::RefCell;

@@ -2,20 +2,16 @@
 //! random edit scripts, the persistent [`IncrementalAnalyzer`] — which
 //! reuses per-invocation findings, flow facts, and the reachability
 //! fixpoint across edits — must produce diagnostic JSON byte-identical
-//! to a from-scratch analysis of the same document, and the whole-script
-//! transcript plus the deterministic trace-counter totals must agree
-//! exactly at pool sizes 1, 2, and 8.
+//! to a from-scratch analysis of the same document after every edit.
 //!
-//! This is the same discipline `sched_props` pins for evaluation: facts
-//! are computed against an immutable pre-run snapshot in task-private
-//! overlays and absorbed in unit order on the calling thread, so neither
-//! the worker count nor the cache's warmth may show up in any output.
+//! Facts are computed against the pre-run memo in per-unit overlays and
+//! absorbed in unit order, so the cache's warmth may not show up in any
+//! output.
 
 use hazel::editor::{analyze_document, open_module, IncrementalAnalyzer};
 use hazel::lang::parse::parse_uexp;
 use hazel::lang::value::iv;
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
 use hazel::trace::{Counter, Stats, StatsSink, Tracer};
 use integration_tests::XorShift;
 
@@ -53,10 +49,10 @@ fn module_source(rng: &mut XorShift) -> String {
     )
 }
 
-/// Runs one whole edit script at the current pool size, asserting after
-/// every step that the warm incremental analyzer and a cold from-scratch
-/// analysis render byte-identical JSON. Returns the concatenated report
-/// transcript and the counter totals the incremental analyzer produced.
+/// Runs one whole edit script, asserting after every step that the warm
+/// incremental analyzer and a cold from-scratch analysis render
+/// byte-identical JSON. Returns the concatenated report transcript and the
+/// counter totals the incremental analyzer produced.
 fn run_script(seed: u64) -> (String, Stats) {
     let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
     let source = module_source(&mut rng);
@@ -96,45 +92,20 @@ fn run_script(seed: u64) -> (String, Stats) {
     (transcript, sink.snapshot())
 }
 
-/// Every counter except the two documented nondeterministic scheduling
-/// quantities.
-fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
-    Counter::ALL
-        .iter()
-        .filter(|c| !matches!(c, Counter::SchedSteals | Counter::SchedIdleNs))
-        .map(|c| (c.as_str(), stats.counter(*c)))
-        .collect()
-}
-
 #[test]
-fn incremental_diagnostics_are_bit_identical_at_pool_sizes_1_2_8() {
+fn incremental_diagnostics_are_bit_identical() {
     let mut flow_findings = 0usize;
     for seed in 0..SCRIPTS {
-        set_workers_override(Some(1));
-        let (sequential, seq_stats) = run_script(seed);
-        for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
-            let (parallel, par_stats) = run_script(seed);
-            assert_eq!(
-                sequential, parallel,
-                "seed {seed}: transcript diverges at {workers} workers"
-            );
-            assert_eq!(
-                deterministic_totals(&seq_stats),
-                deterministic_totals(&par_stats),
-                "seed {seed}: counter totals diverge at {workers} workers"
-            );
-        }
-        set_workers_override(None);
+        let (transcript, stats) = run_script(seed);
         for code in ["LL0501", "LL0502", "LL0503"] {
-            if sequential.contains(code) {
+            if transcript.contains(code) {
                 flow_findings += 1;
             }
         }
         // The property is about *reuse*: the warm analyzer must actually
         // have hit its fact memo, or the scripts compare nothing.
         assert!(
-            seq_stats.counter(Counter::FlowFactsReused) > 0,
+            stats.counter(Counter::FlowFactsReused) > 0,
             "seed {seed}: no fact reuse across the script"
         );
     }

@@ -8,9 +8,7 @@
 //! internal terms (free variables, division by zero, ill-typed
 //! applications, unguarded recursion under tiny fuel budgets), the
 //! machine must agree with the tree evaluator on values, recorded σ
-//! environments, the `EvalError` taxonomy, and the exact step counts —
-//! and the full pipeline must produce identical transcripts at pool sizes
-//! 1, 2, and 8.
+//! environments, the `EvalError` taxonomy, and the exact step counts.
 
 use hazel::core::eval_splice;
 use hazel::lang::elab::elab_syn;
@@ -18,8 +16,7 @@ use hazel::lang::eval::{EvalError, Evaluator, DEFAULT_FUEL};
 use hazel::lang::machine::MachineEvaluator;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
-use hazel::sched::set_workers_override;
-use hazel::trace::{Counter, Stats, StatsSink, Tracer};
+use hazel::trace::{Counter, StatsSink, Tracer};
 use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
 
 const CASES: u64 = 60;
@@ -197,77 +194,6 @@ fn invocations(e: &UExp) -> Vec<LivelitAp> {
         n
     });
     aps
-}
-
-/// One full pipeline run at the current pool size:
-/// closure collection, per-hole σ lists in order, the resumed result, and
-/// every live splice result, rendered into one comparable transcript.
-fn run_case(program: &UExp) -> (String, Stats) {
-    let phi = &test_phi();
-    let sink = StatsSink::new();
-    let tracer = Tracer::deterministic(sink.clone());
-    let transcript = {
-        let _guard = hazel::trace::install(&tracer);
-        let mut log = String::new();
-        match collect(phi, program) {
-            Err(e) => log.push_str(&format!("collect error: {e}\n")),
-            Ok(collection) => {
-                for (u, envs) in &collection.envs {
-                    log.push_str(&format!("hole {u:?}: {envs:?}\n"));
-                }
-                log.push_str(&format!("result: {:?}\n", collection.resume_result()));
-                for ap in invocations(program) {
-                    let n_envs = collection.envs_for(ap.hole).len();
-                    for i in 0..n_envs {
-                        for splice in &ap.splices {
-                            let r =
-                                eval_splice(phi, &collection, ap.hole, i, &splice.exp, &splice.ty);
-                            log.push_str(&format!("splice {:?}/{i}: {r:?}\n", ap.hole));
-                        }
-                    }
-                }
-            }
-        }
-        log
-    };
-    (transcript, sink.snapshot())
-}
-
-/// Counter totals that must agree at any pool size: everything except
-/// the documented nondeterministic scheduling quantities.
-fn deterministic_totals(stats: &Stats) -> Vec<(&'static str, u64)> {
-    Counter::ALL
-        .iter()
-        .filter(|c| !matches!(c, Counter::SchedSteals | Counter::SchedIdleNs))
-        .map(|c| (c.as_str(), stats.counter(*c)))
-        .collect()
-}
-
-#[test]
-fn pipeline_transcripts_identical_across_pool_sizes() {
-    let phi = test_phi();
-    let mut compared = 0u32;
-    for seed in 0..12u64 {
-        let (program, _) = gen_full(seed).program(&phi);
-        set_workers_override(Some(1));
-        let (sequential, seq_stats) = run_case(&program);
-        for workers in [2usize, 8] {
-            set_workers_override(Some(workers));
-            let (parallel, par_stats) = run_case(&program);
-            assert_eq!(
-                sequential, parallel,
-                "seed {seed}: transcript diverges at {workers} workers"
-            );
-            assert_eq!(
-                deterministic_totals(&seq_stats),
-                deterministic_totals(&par_stats),
-                "seed {seed}: counters diverge at {workers} workers"
-            );
-        }
-        compared += 1;
-    }
-    set_workers_override(None);
-    assert!(compared > 0);
 }
 
 #[test]

@@ -3,15 +3,12 @@
 //! The contract: a server killed at an arbitrary point and restored from
 //! its snapshot directory is indistinguishable — byte for byte, reply
 //! for reply — from one that never died, for every session-addressed
-//! request. The property is checked across worker counts (replay runs
-//! through the same deterministic pipeline regardless of pool size),
-//! and damaged journals degrade to structured `session` errors instead
-//! of panics or silent data loss.
+//! request, and damaged journals degrade to structured `session` errors
+//! instead of panics or silent data loss.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hazel::sched::set_workers_override;
 use hazel::server::{ErrorKind, Server};
 use integration_tests::XorShift;
 
@@ -66,48 +63,40 @@ fn gen_line(g: &mut XorShift) -> String {
 
 #[test]
 fn restore_then_replay_is_byte_identical_to_an_uninterrupted_run() {
-    for workers in [1usize, 2, 8] {
-        set_workers_override(Some(workers));
-        for seed in 0..8u64 {
-            let dir = temp_dir(&format!("replay-w{workers}-{seed}"));
-            let mut g = XorShift::new(seed);
-            let lines: Vec<String> = (0..40).map(|_| gen_line(&mut g)).collect();
-            // The kill point: somewhere strictly inside the traffic.
-            let cut = 1 + (g.below(lines.len() as u64 - 1) as usize);
+    for seed in 0..8u64 {
+        let dir = temp_dir(&format!("replay-{seed}"));
+        let mut g = XorShift::new(seed);
+        let lines: Vec<String> = (0..40).map(|_| gen_line(&mut g)).collect();
+        // The kill point: somewhere strictly inside the traffic.
+        let cut = 1 + (g.below(lines.len() as u64 - 1) as usize);
 
-            // Oracle: one server, never interrupted, no snapshots.
-            let mut oracle = std_server();
-            let oracle_replies: Vec<String> = lines.iter().map(|l| oracle.handle_line(l)).collect();
+        // Oracle: one server, never interrupted, no snapshots.
+        let mut oracle = std_server();
+        let oracle_replies: Vec<String> = lines.iter().map(|l| oracle.handle_line(l)).collect();
 
-            // Victim: journals every acked request, dies after `cut`
-            // lines (drop without any orderly shutdown — the journal is
-            // flushed before each reply ships, so nothing acked is
-            // lost).
-            let mut victim = std_server();
-            victim.enable_snapshots(&dir).expect("enable snapshots");
-            for line in &lines[..cut] {
-                victim.handle_line(line);
-            }
-            drop(victim);
-
-            // Reborn: restores the journals, then serves the rest of
-            // the traffic. Every reply must match the oracle's reply to
-            // the same line, byte for byte.
-            let mut reborn = std_server();
-            let report = reborn.enable_snapshots(&dir).expect("restore");
-            assert!(report.failed.is_empty(), "{:?}", report.failed);
-            assert!(report.torn.is_empty(), "clean kill point, no torn tail");
-            for (line, expected) in lines[cut..].iter().zip(&oracle_replies[cut..]) {
-                let got = reborn.handle_line(line);
-                assert_eq!(
-                    &got, expected,
-                    "workers={workers} seed={seed} cut={cut} line={line}"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        // Victim: journals every acked request, dies after `cut`
+        // lines (drop without any orderly shutdown — each record reaches
+        // the OS before its reply ships, so nothing acked is lost).
+        let mut victim = std_server();
+        victim.enable_snapshots(&dir).expect("enable snapshots");
+        for line in &lines[..cut] {
+            victim.handle_line(line);
         }
+        drop(victim);
+
+        // Reborn: restores the journals, then serves the rest of
+        // the traffic. Every reply must match the oracle's reply to
+        // the same line, byte for byte.
+        let mut reborn = std_server();
+        let report = reborn.enable_snapshots(&dir).expect("restore");
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        assert!(report.torn.is_empty(), "clean kill point, no torn tail");
+        for (line, expected) in lines[cut..].iter().zip(&oracle_replies[cut..]) {
+            let got = reborn.handle_line(line);
+            assert_eq!(&got, expected, "seed={seed} cut={cut} line={line}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    set_workers_override(None);
 }
 
 #[test]
