@@ -366,13 +366,14 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
     }
 
     // B11 — deep-nested β-reduction: the tree evaluator's tree-copying
-    // substitution vs the environment machine over the term store (the
-    // arm interns the input and converts the result back, as the
-    // pipeline's `eval_traced` does).
+    // substitution (the spec, from the integration test crate) vs the
+    // environment machine over the term store (the arm interns the input
+    // and converts the result back, as the pipeline's `eval_traced` does).
     if wants(config, "B11") {
-        use hazel::lang::eval::{Evaluator, DEFAULT_FUEL};
+        use hazel::lang::eval::DEFAULT_FUEL;
         use hazel::lang::machine::MachineEvaluator;
         use hazel::lang::TermStore;
+        use integration_tests::spec::Evaluator;
         for n in sizes(config, &[1usize, 4, 16, 64, 256]) {
             let chain = deep_redex_chain(n);
             let expected = IExp::Int((1..=n as i64).sum());
@@ -532,9 +533,10 @@ fn run_suite(config: &Config, results: &mut Vec<CaseResult>) {
     // branch (closures carry environments; the frame stack replaces Rust
     // recursion).
     if wants(config, "B18") {
-        use hazel::lang::eval::{Evaluator, DEFAULT_FUEL};
+        use hazel::lang::eval::DEFAULT_FUEL;
         use hazel::lang::machine::MachineEvaluator;
         use hazel::lang::TermStore;
+        use integration_tests::spec::Evaluator;
         for n in sizes(config, &[1usize, 4, 16, 64, 256]) {
             let chain = deep_guarded_chain(n, 256);
             let expected = IExp::Int((1..=n as i64).sum());
@@ -789,7 +791,7 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
                     &registry,
                     &doc,
                     &output.collection,
-                    hazel::editor::engine::ENGINE_FUEL,
+                    hazel::lang::eval::DEFAULT_FUEL,
                 );
                 let mut patches = 0usize;
                 for (u, view) in &legacy_views {

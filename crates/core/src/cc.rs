@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hazel_lang::elab::elab_syn;
-use hazel_lang::eval::{eval_traced, fill, resume_sigma_counted, EvalError, DEFAULT_FUEL};
+use hazel_lang::eval::{eval_traced, fill, resume_sigma, EvalError, DEFAULT_FUEL};
 use hazel_lang::external::{CaseArm, EExp};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
@@ -88,17 +88,15 @@ impl Omega {
     }
 
     /// `fillΩ(d)` (Def. 4.6): fills every livelit hole in `d` with its
-    /// parameterized expansion.
+    /// parameterized expansion, in one walk over `d`.
     ///
-    /// Ω entries are closed, so order does not matter and filling amounts to
-    /// syntactic replacement (plus realization of each closure's recorded
-    /// environment, which is vacuous on closed terms).
+    /// Entries are filled in as they are (holes inside an entry are not
+    /// filled), so the result does not depend on the order of Ω. Entries are
+    /// closed, so filling amounts to syntactic replacement (plus realization
+    /// of each closure's recorded environment, which is vacuous on closed
+    /// terms).
     pub fn fill(&self, d: &IExp) -> IExp {
-        let mut out = d.clone();
-        for (u, entry) in &self.map {
-            out = fill(&out, *u, &entry.pexpansion);
-        }
-        out
+        fill(d, &|u| self.map.get(&u).map(|entry| &entry.pexpansion))
     }
 
     /// `fillΩ(σ)` on an environment (Def. 4.6, clause 1).
@@ -603,7 +601,7 @@ fn collect_envs(
         );
         let resumed = sigmas
             .iter()
-            .map(|sigma| resume_sigma_counted(&omega.fill_sigma(sigma), fuel))
+            .map(|sigma| resume_sigma(&omega.fill_sigma(sigma), fuel))
             .collect::<Result<Vec<_>, _>>()?;
         envs.insert(u, resumed);
     }

@@ -578,7 +578,6 @@ mod tests {
     use super::*;
     use crate::def::LivelitDef;
     use hazel_lang::build::*;
-    use hazel_lang::eval::eval;
     use hazel_lang::ident::HoleName;
     use hazel_lang::unexpanded::Splice;
     use hazel_lang::value::iv;
@@ -640,7 +639,7 @@ mod tests {
         let (expanded, ty, _) = expand_typed(&phi(), &Ctx::empty(), &e).unwrap();
         assert_eq!(ty, color_ty());
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
-        let result = eval(&d).unwrap();
+        let result = eval_traced(&d, DEFAULT_FUEL).unwrap();
         assert_eq!(
             result,
             iv::record([
@@ -676,7 +675,7 @@ mod tests {
         );
         let (expanded, _, _) = expand_typed(&phi(), &Ctx::empty(), &e).unwrap();
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
-        let result = eval(&d).unwrap();
+        let result = eval_traced(&d, DEFAULT_FUEL).unwrap();
         assert_eq!(
             result.field(&hazel_lang::Label::new("g")),
             Some(&iv::int(107))
@@ -720,7 +719,7 @@ mod tests {
         let (expanded, _, _) = expand_typed(&phi, &Ctx::empty(), &e).unwrap();
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
         // Client len = 5 flows into the splice: 5 + 1000, NOT 1000 + 1000.
-        assert_eq!(eval(&d).unwrap(), IExp::Int(1005));
+        assert_eq!(eval_traced(&d, DEFAULT_FUEL).unwrap(), IExp::Int(1005));
     }
 
     #[test]
@@ -870,7 +869,7 @@ mod tests {
         ]);
         let (expanded, _, _) = expand_typed(&phi, &Ctx::empty(), &e).unwrap();
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
-        let result = eval(&d).unwrap();
+        let result = eval_traced(&d, DEFAULT_FUEL).unwrap();
         assert_eq!(
             result.field(&hazel_lang::Label::new("r")),
             Some(&iv::int(7))
@@ -911,7 +910,7 @@ mod tests {
         let (expanded, ty, _) = expand_typed(&phi, &Ctx::empty(), &e).unwrap();
         assert_eq!(ty, Typ::Int);
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
-        assert_eq!(eval(&d).unwrap(), IExp::Int(42));
+        assert_eq!(eval_traced(&d, DEFAULT_FUEL).unwrap(), IExp::Int(42));
     }
 
     #[test]
@@ -948,7 +947,7 @@ mod tests {
         let (expanded, ty, _) = expand_typed(&phi, &Ctx::empty(), &e).unwrap();
         assert_eq!(ty, Typ::Int);
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
-        assert_eq!(eval(&d).unwrap(), IExp::Int(42));
+        assert_eq!(eval_traced(&d, DEFAULT_FUEL).unwrap(), IExp::Int(42));
     }
 
     #[test]
@@ -1010,6 +1009,6 @@ mod tests {
             .expect("expansion must not overflow a 2 MiB stack")
             .expect("expands");
         let (d, _, _) = elab_syn(&Ctx::empty(), &expanded).unwrap();
-        assert_eq!(eval(&d).unwrap(), IExp::Int(42));
+        assert_eq!(eval_traced(&d, DEFAULT_FUEL).unwrap(), IExp::Int(42));
     }
 }

@@ -265,7 +265,6 @@ pub fn eval_splices(
         for &(key, closed) in &to_eval {
             let mut evaluator = MachineEvaluator::with_fuel(&mut interned.store, DEFAULT_FUEL);
             let result = evaluator.eval(closed);
-            livelit_trace::count(livelit_trace::Counter::EvalSteps, evaluator.steps());
             report_machine_counters(evaluator.counters());
             let cached = match result {
                 Err(e) => CachedSplice::Err(e),

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use hazel_lang::eval::DEFAULT_FUEL;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::IExp;
@@ -24,9 +25,6 @@ use livelit_mvu::livelit::{Action, CmdError};
 use crate::doc::{DocError, Document};
 use crate::registry::LivelitRegistry;
 use crate::views::{view_key, ViewKey, ViewRetainer};
-
-/// Default evaluation fuel for the interactive pipeline.
-pub const ENGINE_FUEL: u64 = 4_000_000;
 
 /// A livelit error marked during the pre-pass, attributed to the invocation
 /// (hole) it arose at.
@@ -137,7 +135,7 @@ pub fn mark_livelit_errors(phi: &LivelitCtx, program: &UExp) -> (UExp, Vec<Marke
 /// Returns [`EngineError`] when the program is broken beyond error-marking
 /// (ill-typed outside livelits, diverging, ...).
 pub fn run(registry: &LivelitRegistry, doc: &Document) -> Result<EngineOutput, EngineError> {
-    run_with_fuel(registry, doc, ENGINE_FUEL)
+    run_with_fuel(registry, doc, DEFAULT_FUEL)
 }
 
 /// [`run`] with an explicit fuel budget.

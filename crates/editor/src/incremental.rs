@@ -19,6 +19,7 @@
 //! every run — the interner shares all unchanged subtrees, so an edit pays
 //! for the spine it changed, not for the program size.
 
+use hazel_lang::eval::DEFAULT_FUEL;
 use hazel_lang::store::{TermId, TermStore};
 use hazel_lang::unexpanded::LivelitAp;
 use livelit_core::cc::{cc_expand, CollectError, Omega};
@@ -27,7 +28,7 @@ use livelit_core::expansion::expand_invocation;
 use hazel_lang::ident::HoleName;
 
 use crate::doc::Document;
-use crate::engine::{run_with_fuel_in, EngineError, EngineOutput, ENGINE_FUEL};
+use crate::engine::{run_with_fuel_in, EngineError, EngineOutput};
 use crate::registry::LivelitRegistry;
 use crate::views::{ViewDelta, ViewRetainer};
 
@@ -62,7 +63,7 @@ struct Cached {
 impl IncrementalEngine {
     /// Creates an engine with the default fuel budget.
     pub fn new() -> IncrementalEngine {
-        IncrementalEngine::with_fuel(ENGINE_FUEL)
+        IncrementalEngine::with_fuel(DEFAULT_FUEL)
     }
 
     /// Creates an engine with an explicit fuel budget.

@@ -102,7 +102,7 @@ pub fn describe_timings(stats: &Stats) -> Option<String> {
         Counter::ExpansionsPerformed,
         Counter::ClosuresCollected,
         Counter::SplicesEvaluated,
-        Counter::EvalSteps,
+        Counter::MachineSteps,
         Counter::ViewDiffPatches,
         Counter::AnalyzerCacheHits,
         Counter::AnalyzerCacheMisses,

@@ -30,7 +30,7 @@ fn metrics_text_table_reports_phases_and_counters() {
     }
     assert!(stdout.contains("p50"), "{stdout}");
     assert!(stdout.contains("p99"), "{stdout}");
-    assert!(stdout.contains("eval_steps"), "{stdout}");
+    assert!(stdout.contains("machine_steps"), "{stdout}");
 }
 
 #[test]

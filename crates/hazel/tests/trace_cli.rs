@@ -83,7 +83,7 @@ fn trace_covers_every_pipeline_layer() {
     for counter in [
         "\"expansions_performed\"",
         "\"closures_collected\"",
-        "\"eval_steps\"",
+        "\"machine_steps\"",
     ] {
         assert!(text.contains(counter), "missing {counter} in:\n{text}");
     }

@@ -1,28 +1,28 @@
-//! Big-step evaluation of internal expressions: `d ⇓ d′` (Sec. 4.1).
+//! Evaluation of internal expressions, `d ⇓ d′` (Sec. 4.1), plus hole
+//! filling and resumption (Sec. 4.3.2).
 //!
-//! Evaluation is substitution-based and call-by-value, and — following
-//! Hazelnut Live — proceeds *around* holes: an elimination form whose
-//! principal position is indeterminate becomes an indeterminate (but final)
-//! expression rather than an error. Each substitution that occurs around a
-//! hole closure is recorded in the closure's substitution σ; those recorded
-//! environments are what closure collection (Sec. 4.3) harvests.
+//! Evaluation is call-by-value and — following Hazelnut Live — proceeds
+//! *around* holes: an elimination form whose principal position is
+//! indeterminate becomes an indeterminate (but final) expression rather
+//! than an error. Each substitution that occurs around a hole closure is
+//! recorded in the closure's substitution σ; those recorded environments
+//! are what closure collection (Sec. 4.3) harvests.
 //!
 //! Evaluation is fuel-limited so that divergent fixpoints surface as
-//! [`EvalError::OutOfFuel`] rather than hanging the editor.
-//!
-//! [`Evaluator`] transcribes the rules directly and recurses on redex
-//! depth; it is the specification the tests hold the environment machine
-//! to. Production code evaluates through [`eval_traced`], which runs
-//! [`crate::machine::MachineEvaluator`] on the caller's thread.
+//! [`EvalError::OutOfFuel`] rather than hanging the editor. Fuel counts
+//! transitions of the environment machine
+//! ([`crate::machine::MachineEvaluator`]), which every evaluation here
+//! runs on the caller's thread. The substitution-based tree evaluator
+//! that transcribes the rules directly is the specification the machine
+//! is tested against; it lives in the integration test crate.
 
 use std::fmt;
 
-use crate::final_form::is_final;
+use crate::ident::HoleName;
 use crate::internal::{IExp, Sigma};
-use crate::ops::BinOp;
 use crate::store::TermStore;
 
-/// Default evaluation fuel (number of recursive evaluation steps).
+/// Default evaluation fuel, in environment-machine transitions.
 pub const DEFAULT_FUEL: u64 = 4_000_000;
 
 /// A run-time error.
@@ -58,241 +58,16 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The fuel-limited tree evaluator: the specification (see the module
-/// docs).
-#[derive(Debug, Clone)]
-pub struct Evaluator {
-    fuel: u64,
-    steps: u64,
-}
-
-impl Evaluator {
-    /// Creates an evaluator with the given fuel budget.
-    pub fn with_fuel(fuel: u64) -> Evaluator {
-        Evaluator { fuel, steps: 0 }
-    }
-
-    /// The number of evaluation steps consumed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Evaluates `d` to a final expression.
-    ///
-    /// # Errors
-    ///
-    /// See [`EvalError`].
-    pub fn eval(&mut self, d: &IExp) -> Result<IExp, EvalError> {
-        self.steps += 1;
-        if self.steps > self.fuel {
-            return Err(EvalError::OutOfFuel);
-        }
-        use IExp::*;
-        match d {
-            Var(x) => Err(EvalError::FreeVariable(x.clone())),
-            Lam(..) | Int(_) | Float(_) | Bool(_) | Str(_) | Unit | Nil(_) => Ok(d.clone()),
-            Fix(x, _, body) => {
-                // fix x.d ⇓ [fix x.d / x]d ⇓ ...
-                let unrolled = body.subst(x, d);
-                self.eval(&unrolled)
-            }
-            Ap(f, a) => {
-                let df = self.eval(f)?;
-                let da = self.eval(a)?;
-                match df {
-                    Lam(x, _, body) => {
-                        let applied = body.subst(&x, &da);
-                        self.eval(&applied)
-                    }
-                    _ if is_final(&df) => Ok(Ap(Box::new(df), Box::new(da))),
-                    other => Err(EvalError::IllTyped(format!(
-                        "application of non-function: {other:?}"
-                    ))),
-                }
-            }
-            Bin(op, a, b) => {
-                let da = self.eval(a)?;
-                let db = self.eval(b)?;
-                eval_bin(*op, da, db)
-            }
-            If(c, t, e) => {
-                let dc = self.eval(c)?;
-                match dc {
-                    Bool(true) => self.eval(t),
-                    Bool(false) => self.eval(e),
-                    _ if is_final(&dc) => {
-                        // Branches are preserved unevaluated (they may be
-                        // open under nothing, but evaluating both would
-                        // change cost and termination behavior).
-                        Ok(If(Box::new(dc), t.clone(), e.clone()))
-                    }
-                    other => Err(EvalError::IllTyped(format!("if on non-boolean: {other:?}"))),
-                }
-            }
-            Tuple(fields) => {
-                let mut out = Vec::with_capacity(fields.len());
-                for (l, e) in fields {
-                    out.push((l.clone(), self.eval(e)?));
-                }
-                Ok(Tuple(out))
-            }
-            Proj(scrut, l) => {
-                let ds = self.eval(scrut)?;
-                match ds {
-                    Tuple(fields) => fields
-                        .into_iter()
-                        .find(|(fl, _)| fl == l)
-                        .map(|(_, e)| e)
-                        .ok_or_else(|| EvalError::IllTyped(format!("projection .{l} missing"))),
-                    _ if is_final(&ds) => Ok(Proj(Box::new(ds), l.clone())),
-                    other => Err(EvalError::IllTyped(format!(
-                        "projection from non-tuple: {other:?}"
-                    ))),
-                }
-            }
-            Inj(t, l, e) => {
-                let de = self.eval(e)?;
-                Ok(Inj(t.clone(), l.clone(), Box::new(de)))
-            }
-            Case(scrut, arms) => {
-                let ds = self.eval(scrut)?;
-                match &ds {
-                    Inj(_, l, payload) => {
-                        let arm = arms
-                            .iter()
-                            .find(|arm| &arm.label == l)
-                            .ok_or_else(|| EvalError::IllTyped(format!("no case arm for .{l}")))?;
-                        let body = arm.body.subst(&arm.var, payload);
-                        self.eval(&body)
-                    }
-                    _ if is_final(&ds) => Ok(Case(Box::new(ds), arms.clone())),
-                    other => Err(EvalError::IllTyped(format!(
-                        "case on non-injection: {other:?}"
-                    ))),
-                }
-            }
-            Cons(h, t) => {
-                let dh = self.eval(h)?;
-                let dt = self.eval(t)?;
-                Ok(Cons(Box::new(dh), Box::new(dt)))
-            }
-            ListCase(scrut, nil, hv, tv, cons) => {
-                let ds = self.eval(scrut)?;
-                match ds {
-                    Nil(_) => self.eval(nil),
-                    Cons(h, t) => {
-                        let body = cons.subst(hv, &h).subst(tv, &t);
-                        self.eval(&body)
-                    }
-                    _ if is_final(&ds) => Ok(ListCase(
-                        Box::new(ds),
-                        nil.clone(),
-                        hv.clone(),
-                        tv.clone(),
-                        cons.clone(),
-                    )),
-                    other => Err(EvalError::IllTyped(format!(
-                        "list case on non-list: {other:?}"
-                    ))),
-                }
-            }
-            Roll(t, e) => {
-                let de = self.eval(e)?;
-                Ok(Roll(t.clone(), Box::new(de)))
-            }
-            Unroll(e) => {
-                let de = self.eval(e)?;
-                match de {
-                    Roll(_, inner) => Ok(*inner),
-                    _ if is_final(&de) => Ok(Unroll(Box::new(de))),
-                    other => Err(EvalError::IllTyped(format!(
-                        "unroll of non-roll: {other:?}"
-                    ))),
-                }
-            }
-            // Hole closures are final, but their recorded environments are
-            // part of the result: closed entries are kept evaluated
-            // (environment resumption, Def. 4.7, is folded into evaluation
-            // so that fill-and-resume normalizes entries that hole filling
-            // turned into redexes). Open entries — identity mappings under
-            // binders that were never applied — are left as-is.
-            EmptyHole(u, sigma) => Ok(EmptyHole(*u, self.eval_sigma(sigma)?)),
-            NonEmptyHole(u, sigma, inner) => {
-                let sigma = self.eval_sigma(sigma)?;
-                let dinner = self.eval(inner)?;
-                Ok(NonEmptyHole(*u, sigma, Box::new(dinner)))
-            }
-        }
-    }
-}
-
-impl Evaluator {
-    /// Evaluates the closed entries of a hole closure's environment
-    /// (Def. 4.7 clauses 2–3, folded into evaluation).
-    fn eval_sigma(&mut self, sigma: &Sigma) -> Result<Sigma, EvalError> {
-        let mut out = std::collections::BTreeMap::new();
-        for (x, entry) in sigma.iter() {
-            let v = if entry.is_closed() {
-                self.eval(entry)?
-            } else {
-                entry.clone()
-            };
-            out.insert(x.clone(), v);
-        }
-        Ok(Sigma(out))
-    }
-}
-
-fn eval_bin(op: BinOp, da: IExp, db: IExp) -> Result<IExp, EvalError> {
-    use IExp::*;
-    match (op, &da, &db) {
-        (BinOp::Add, Int(a), Int(b)) => Ok(Int(a.wrapping_add(*b))),
-        (BinOp::Sub, Int(a), Int(b)) => Ok(Int(a.wrapping_sub(*b))),
-        (BinOp::Mul, Int(a), Int(b)) => Ok(Int(a.wrapping_mul(*b))),
-        (BinOp::Div, Int(_), Int(0)) => Err(EvalError::DivisionByZero),
-        (BinOp::Div, Int(a), Int(b)) => Ok(Int(a.wrapping_div(*b))),
-        (BinOp::FAdd, Float(a), Float(b)) => Ok(Float(a + b)),
-        (BinOp::FSub, Float(a), Float(b)) => Ok(Float(a - b)),
-        (BinOp::FMul, Float(a), Float(b)) => Ok(Float(a * b)),
-        (BinOp::FDiv, Float(a), Float(b)) => Ok(Float(a / b)),
-        (BinOp::Lt, Int(a), Int(b)) => Ok(Bool(a < b)),
-        (BinOp::Le, Int(a), Int(b)) => Ok(Bool(a <= b)),
-        (BinOp::Gt, Int(a), Int(b)) => Ok(Bool(a > b)),
-        (BinOp::Ge, Int(a), Int(b)) => Ok(Bool(a >= b)),
-        (BinOp::Eq, Int(a), Int(b)) => Ok(Bool(a == b)),
-        (BinOp::FLt, Float(a), Float(b)) => Ok(Bool(a < b)),
-        (BinOp::FLe, Float(a), Float(b)) => Ok(Bool(a <= b)),
-        (BinOp::FGt, Float(a), Float(b)) => Ok(Bool(a > b)),
-        (BinOp::FGe, Float(a), Float(b)) => Ok(Bool(a >= b)),
-        (BinOp::FEq, Float(a), Float(b)) => Ok(Bool(a == b)),
-        (BinOp::And, Bool(a), Bool(b)) => Ok(Bool(*a && *b)),
-        (BinOp::Or, Bool(a), Bool(b)) => Ok(Bool(*a || *b)),
-        (BinOp::Concat, Str(a), Str(b)) => Ok(Str(format!("{a}{b}"))),
-        (BinOp::StrEq, Str(a), Str(b)) => Ok(Bool(a == b)),
-        _ => {
-            if is_final(&da) && is_final(&db) {
-                Ok(Bin(op, Box::new(da), Box::new(db)))
-            } else {
-                Err(EvalError::IllTyped(format!(
-                    "binary op {op} on {da:?} and {db:?}"
-                )))
-            }
-        }
-    }
-}
-
 /// Evaluates `d` with an explicit fuel budget under a `"eval"` trace span,
-/// reporting the consumed steps to the
-/// [`EvalSteps`](livelit_trace::Counter::EvalSteps) counter.
+/// reporting the machine's work counters to the trace layer.
 ///
 /// This is the entry point every production evaluation routes through. It
 /// interns `d` into a fresh [`TermStore`], runs the environment machine
 /// ([`crate::machine::MachineEvaluator`]) on the caller's thread, and
 /// converts the result back to a tree. The machine keeps its control
 /// state on an explicit frame arena, so deep object-language recursion
-/// never grows the host stack. The result is bit-identical to
-/// [`Evaluator::eval`]'s, including recorded σ and step counts
-/// (property-tested in the integration suite).
+/// never grows the host stack. Values and recorded σ are bit-identical to
+/// the tree evaluator's (property-tested in the integration suite).
 ///
 /// # Errors
 ///
@@ -304,7 +79,6 @@ pub fn eval_traced(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
         let _span = livelit_trace::span("eval");
         let mut evaluator = crate::machine::MachineEvaluator::with_fuel(&mut store, fuel);
         let result = evaluator.eval(t);
-        livelit_trace::count(livelit_trace::Counter::EvalSteps, evaluator.steps());
         report_machine_counters(evaluator.counters());
         store.report_trace_counters();
         result
@@ -326,211 +100,71 @@ pub fn report_machine_counters(c: crate::machine::MachineCounters) {
     }
 }
 
-/// Evaluates `d` with the default fuel budget on the tree evaluator — the
-/// spec oracle the tests compare the machine against.
+/// Hole filling `⟦d_fill/u⟧d` (Sec. 4.3.2) for every hole `u` that
+/// `lookup` maps to a fill term, in one walk over `d`.
 ///
-/// The tree evaluator recurses on redex depth; production code evaluates
-/// through [`eval_traced`], whose machine never grows the host stack.
-///
-/// # Errors
-///
-/// See [`EvalError`].
-pub fn eval(d: &IExp) -> Result<IExp, EvalError> {
-    Evaluator::with_fuel(DEFAULT_FUEL).eval(d)
-}
-
-/// Hole filling `⟦d_fill/u⟧d` (Sec. 4.3.2).
-///
-/// Every closure for hole `u` in `d` is replaced by `d_fill` with the
+/// Every closure for such a hole is replaced by its fill term with the
 /// closure's recorded environment applied as a substitution — "the delayed
 /// substitutions captured in the environment are realized". Unlike
 /// substitution, hole filling is not capture-avoiding; in the livelit
 /// setting the filled term is a closed parameterized expansion, so filling
 /// amounts to syntactic replacement plus environment application.
 ///
-/// `d_fill` must not itself contain holes named `u`.
-pub fn fill(d: &IExp, u: crate::ident::HoleName, d_fill: &IExp) -> IExp {
+/// Fill terms must not themselves contain holes that `lookup` fills; then
+/// one walk equals filling the holes one at a time, in any order.
+pub fn fill<'f>(d: &IExp, lookup: &impl Fn(HoleName) -> Option<&'f IExp>) -> IExp {
     use IExp::*;
+    let go = |e: &IExp| Box::new(fill(e, lookup));
+    let go_sigma = |sigma: &Sigma| sigma.map_codomain(|e| fill(e, lookup));
     match d {
-        EmptyHole(u2, sigma) if *u2 == u => {
-            let sigma = sigma.map_codomain(|e| fill(e, u, d_fill));
-            sigma.apply(d_fill)
-        }
-        EmptyHole(u2, sigma) => EmptyHole(*u2, sigma.map_codomain(|e| fill(e, u, d_fill))),
-        NonEmptyHole(u2, sigma, inner) => NonEmptyHole(
-            *u2,
-            sigma.map_codomain(|e| fill(e, u, d_fill)),
-            Box::new(fill(inner, u, d_fill)),
-        ),
+        EmptyHole(u, sigma) => match lookup(*u) {
+            Some(d_fill) => go_sigma(sigma).apply(d_fill),
+            None => EmptyHole(*u, go_sigma(sigma)),
+        },
+        NonEmptyHole(u, sigma, inner) => NonEmptyHole(*u, go_sigma(sigma), go(inner)),
         Var(_) | Int(_) | Float(_) | Bool(_) | Str(_) | Unit | Nil(_) => d.clone(),
-        Lam(x, t, b) => Lam(x.clone(), t.clone(), Box::new(fill(b, u, d_fill))),
-        Fix(x, t, b) => Fix(x.clone(), t.clone(), Box::new(fill(b, u, d_fill))),
-        Ap(a, b) => Ap(Box::new(fill(a, u, d_fill)), Box::new(fill(b, u, d_fill))),
-        Bin(op, a, b) => Bin(
-            *op,
-            Box::new(fill(a, u, d_fill)),
-            Box::new(fill(b, u, d_fill)),
-        ),
-        If(c, t, e) => If(
-            Box::new(fill(c, u, d_fill)),
-            Box::new(fill(t, u, d_fill)),
-            Box::new(fill(e, u, d_fill)),
-        ),
+        Lam(x, t, b) => Lam(x.clone(), t.clone(), go(b)),
+        Fix(x, t, b) => Fix(x.clone(), t.clone(), go(b)),
+        Ap(a, b) => Ap(go(a), go(b)),
+        Bin(op, a, b) => Bin(*op, go(a), go(b)),
+        If(c, t, e) => If(go(c), go(t), go(e)),
         Tuple(fields) => Tuple(
             fields
                 .iter()
-                .map(|(l, e)| (l.clone(), fill(e, u, d_fill)))
+                .map(|(l, e)| (l.clone(), fill(e, lookup)))
                 .collect(),
         ),
-        Proj(e, l) => Proj(Box::new(fill(e, u, d_fill)), l.clone()),
-        Inj(t, l, e) => Inj(t.clone(), l.clone(), Box::new(fill(e, u, d_fill))),
+        Proj(e, l) => Proj(go(e), l.clone()),
+        Inj(t, l, e) => Inj(t.clone(), l.clone(), go(e)),
         Case(scrut, arms) => Case(
-            Box::new(fill(scrut, u, d_fill)),
+            go(scrut),
             arms.iter()
                 .map(|arm| crate::internal::ICaseArm {
                     label: arm.label.clone(),
                     var: arm.var.clone(),
-                    body: fill(&arm.body, u, d_fill),
+                    body: fill(&arm.body, lookup),
                 })
                 .collect(),
         ),
-        Cons(a, b) => Cons(Box::new(fill(a, u, d_fill)), Box::new(fill(b, u, d_fill))),
-        ListCase(scrut, nil, h, t, cons) => ListCase(
-            Box::new(fill(scrut, u, d_fill)),
-            Box::new(fill(nil, u, d_fill)),
-            h.clone(),
-            t.clone(),
-            Box::new(fill(cons, u, d_fill)),
-        ),
-        Roll(t, e) => Roll(t.clone(), Box::new(fill(e, u, d_fill))),
-        Unroll(e) => Unroll(Box::new(fill(e, u, d_fill))),
+        Cons(a, b) => Cons(go(a), go(b)),
+        ListCase(scrut, nil, h, t, cons) => {
+            ListCase(go(scrut), go(nil), h.clone(), t.clone(), go(cons))
+        }
+        Roll(t, e) => Roll(t.clone(), go(e)),
+        Unroll(e) => Unroll(go(e)),
     }
 }
 
-/// Deeply normalizes `d`: evaluates it if closed, then recursively
-/// normalizes every subterm (including hole-closure environments, stuck
-/// branch bodies, and other positions big-step evaluation does not reach).
-///
-/// Evaluation results may contain redexes in unevaluatable positions after
-/// hole filling — e.g. inside the arms of a `case` stuck on a hole, where
-/// `fillΩ` replaced a livelit hole with its parameterized expansion. Those
-/// redexes reduce as soon as the position is forced, so results related by
-/// Theorem 4.9 (post-collection resumption) are equal *up to* this
-/// normalization; executable statements of that theorem compare
-/// `normalize`d results.
-///
-/// # Errors
-///
-/// See [`EvalError`].
-pub fn normalize(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
-    use IExp::*;
-    let d = if d.is_closed() {
-        Evaluator::with_fuel(fuel).eval(d)?
-    } else {
-        d.clone()
-    };
-    Ok(match &d {
-        Var(_) | Int(_) | Float(_) | Bool(_) | Str(_) | Unit | Nil(_) => d.clone(),
-        Lam(x, t, b) => Lam(x.clone(), t.clone(), Box::new(normalize(b, fuel)?)),
-        Fix(x, t, b) => Fix(x.clone(), t.clone(), Box::new(normalize(b, fuel)?)),
-        Ap(a, b) => Ap(Box::new(normalize(a, fuel)?), Box::new(normalize(b, fuel)?)),
-        Bin(op, a, b) => Bin(
-            *op,
-            Box::new(normalize(a, fuel)?),
-            Box::new(normalize(b, fuel)?),
-        ),
-        If(c, t, e) => If(
-            Box::new(normalize(c, fuel)?),
-            Box::new(normalize(t, fuel)?),
-            Box::new(normalize(e, fuel)?),
-        ),
-        Tuple(fields) => Tuple(
-            fields
-                .iter()
-                .map(|(l, e)| Ok((l.clone(), normalize(e, fuel)?)))
-                .collect::<Result<_, EvalError>>()?,
-        ),
-        Proj(e, l) => Proj(Box::new(normalize(e, fuel)?), l.clone()),
-        Inj(t, l, e) => Inj(t.clone(), l.clone(), Box::new(normalize(e, fuel)?)),
-        Case(scrut, arms) => Case(
-            Box::new(normalize(scrut, fuel)?),
-            arms.iter()
-                .map(|arm| {
-                    Ok(crate::internal::ICaseArm {
-                        label: arm.label.clone(),
-                        var: arm.var.clone(),
-                        body: normalize(&arm.body, fuel)?,
-                    })
-                })
-                .collect::<Result<_, EvalError>>()?,
-        ),
-        Cons(a, b) => Cons(Box::new(normalize(a, fuel)?), Box::new(normalize(b, fuel)?)),
-        ListCase(scrut, nil, h, t, cons) => ListCase(
-            Box::new(normalize(scrut, fuel)?),
-            Box::new(normalize(nil, fuel)?),
-            h.clone(),
-            t.clone(),
-            Box::new(normalize(cons, fuel)?),
-        ),
-        Roll(t, e) => Roll(t.clone(), Box::new(normalize(e, fuel)?)),
-        Unroll(e) => Unroll(Box::new(normalize(e, fuel)?)),
-        EmptyHole(u, sigma) => {
-            let mut out = std::collections::BTreeMap::new();
-            for (x, entry) in sigma.iter() {
-                out.insert(x.clone(), normalize(entry, fuel)?);
-            }
-            EmptyHole(*u, Sigma(out))
-        }
-        NonEmptyHole(u, sigma, inner) => {
-            let mut out = std::collections::BTreeMap::new();
-            for (x, entry) in sigma.iter() {
-                out.insert(x.clone(), normalize(entry, fuel)?);
-            }
-            NonEmptyHole(*u, Sigma(out), Box::new(normalize(inner, fuel)?))
-        }
-    })
-}
-
-/// Applies [`fill`] for every `(u, d_fill)` pair in `fills`.
-pub fn fill_all(
-    d: &IExp,
-    fills: &std::collections::BTreeMap<crate::ident::HoleName, IExp>,
-) -> IExp {
-    let mut out = d.clone();
-    for (u, d_fill) in fills {
-        out = fill(&out, *u, d_fill);
-    }
-    out
-}
-
-/// Environment resumption `resume(σ)` (Def. 4.7): resumes evaluation for
-/// all *closed* expressions in σ; open entries (identity mappings under
-/// binders that were never applied) are left as-is.
+/// Environment resumption `resume(σ)` (Def. 4.7) on the environment
+/// machine: resumes evaluation of every *closed* entry of σ, each with a
+/// fresh `fuel` budget; open entries (identity mappings under binders that
+/// were never applied) are left as-is. Reports the machine work counters
+/// it accumulated (including those of a failing entry) to the trace layer.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors from resumed entries.
 pub fn resume_sigma(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError> {
-    let mut out = std::collections::BTreeMap::new();
-    for (x, d) in sigma.iter() {
-        let resumed = resume(d, fuel)?;
-        out.insert(x.clone(), resumed);
-    }
-    Ok(Sigma(out))
-}
-
-/// [`resume_sigma`] on the environment machine, reporting the machine work
-/// counters it accumulated (including those of a failing entry) to the
-/// trace layer.
-///
-/// Results are bit-identical to [`resume_sigma`]'s (property-tested). Each
-/// entry gets a fresh `fuel` budget, exactly as [`resume`] gives each entry
-/// a fresh evaluator.
-///
-/// # Errors
-///
-/// Propagates evaluation errors from resumed entries.
-pub fn resume_sigma_counted(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError> {
     let mut counters = crate::machine::MachineCounters::default();
     let mut store = TermStore::new();
     let mut resume_entry = |d: &IExp| {
@@ -551,20 +185,6 @@ pub fn resume_sigma_counted(sigma: &Sigma, fuel: u64) -> Result<Sigma, EvalError
     resumed.map(Sigma)
 }
 
-/// Expression resumption (Def. 4.7, clauses 2 and 3): evaluates `d` if it
-/// is closed, otherwise returns it unchanged.
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
-pub fn resume(d: &IExp, fuel: u64) -> Result<IExp, EvalError> {
-    if d.is_closed() {
-        Evaluator::with_fuel(fuel).eval(d)
-    } else {
-        Ok(d.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,6 +194,10 @@ mod tests {
     use crate::ident::{HoleName, Var};
     use crate::typ::Typ;
     use crate::typing::Ctx;
+
+    fn eval(d: &IExp) -> Result<IExp, EvalError> {
+        eval_traced(d, DEFAULT_FUEL)
+    }
 
     fn run(e: &crate::external::EExp) -> IExp {
         let (d, _, _) = elab_syn(&Ctx::empty(), e).expect("elaborates");
@@ -734,15 +358,12 @@ mod tests {
         // Evaluate (λx.⦇⦈u) 5, then fill u with x+1: result must be 5+1.
         let e = ap(lam("x", Typ::Int, asc(hole(0), Typ::Int)), int(5));
         let stuck = run(&e);
-        let filled = fill(
-            &stuck,
-            HoleName(0),
-            &IExp::Bin(
-                crate::ops::BinOp::Add,
-                Box::new(IExp::Var(Var::new("x"))),
-                Box::new(IExp::Int(1)),
-            ),
+        let x_plus_1 = IExp::Bin(
+            crate::ops::BinOp::Add,
+            Box::new(IExp::Var(Var::new("x"))),
+            Box::new(IExp::Int(1)),
         );
+        let filled = fill(&stuck, &|u| (u == HoleName(0)).then_some(&x_plus_1));
         assert_eq!(eval(&filled).unwrap(), IExp::Int(6));
     }
 
@@ -759,17 +380,17 @@ mod tests {
         let (d, _, _) = elab_syn(&Ctx::empty(), &e).unwrap();
         let fill0 = IExp::Int(7);
         let fill1 = IExp::Var(Var::new("y"));
+        let fills = |u: HoleName| match u.0 {
+            0 => Some(&fill0),
+            1 => Some(&fill1),
+            _ => None,
+        };
 
         // Path A: fill first, then evaluate.
-        let a = eval(&fill(&fill(&d, HoleName(0), &fill0), HoleName(1), &fill1)).unwrap();
+        let a = eval(&fill(&d, &fills)).unwrap();
         // Path B: evaluate, then fill, then resume.
         let stuck = eval(&d).unwrap();
-        let b = eval(&fill(
-            &fill(&stuck, HoleName(0), &fill0),
-            HoleName(1),
-            &fill1,
-        ))
-        .unwrap();
+        let b = eval(&fill(&stuck, &fills)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, IExp::Int(3 * 7 + 10 + 10));
     }
@@ -788,10 +409,6 @@ mod tests {
             (Var::new("open"), IExp::Var(Var::new("open"))),
         ]);
         let resumed = resume_sigma(&sigma, DEFAULT_FUEL).unwrap();
-        assert_eq!(
-            resume_sigma_counted(&sigma, DEFAULT_FUEL),
-            Ok(resumed.clone())
-        );
         assert_eq!(resumed.get(&Var::new("done")), Some(&IExp::Int(3)));
         assert_eq!(
             resumed.get(&Var::new("open")),

@@ -219,7 +219,7 @@ mod tests {
     use super::*;
     use crate::build::*;
     use crate::elab::elab_syn;
-    use crate::eval::eval;
+    use crate::eval::{eval_traced, DEFAULT_FUEL};
     use crate::ident::HoleName;
 
     #[test]
@@ -238,7 +238,7 @@ mod tests {
             int(3),
         );
         let (d, ty, delta) = elab_syn(&Ctx::empty(), &e).unwrap();
-        let result = eval(&d).unwrap();
+        let result = eval_traced(&d, DEFAULT_FUEL).unwrap();
         assert_eq!(syn_internal(&delta, &Ctx::empty(), &result).unwrap(), ty);
     }
 
@@ -248,7 +248,7 @@ mod tests {
         let e = elet("x", int(1), asc(hole(0), Typ::Int));
         let (d, _, delta) = elab_syn(&Ctx::empty(), &e).unwrap();
         // Strip the σ entry for x out of the closure.
-        let broken = match eval(&d).unwrap() {
+        let broken = match eval_traced(&d, DEFAULT_FUEL).unwrap() {
             IExp::EmptyHole(u, _) => IExp::EmptyHole(u, Sigma::empty()),
             other => panic!("unexpected {other:?}"),
         };
@@ -269,7 +269,7 @@ mod tests {
         // Hole typed under Γ' = {x : Int}; σ maps x to a Bool → reject.
         let e = elet("x", int(1), asc(hole(0), Typ::Int));
         let (d, _, delta) = elab_syn(&Ctx::empty(), &e).unwrap();
-        let broken = match eval(&d).unwrap() {
+        let broken = match eval_traced(&d, DEFAULT_FUEL).unwrap() {
             IExp::EmptyHole(u, _) => IExp::EmptyHole(
                 u,
                 Sigma::from_iter([(crate::ident::Var::new("x"), IExp::Bool(true))]),

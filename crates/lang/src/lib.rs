@@ -12,8 +12,9 @@
 //! - elaboration `Γ ⊢ e ⇝ d : τ ⊣ Δ` initializing identity substitutions on
 //!   hole closures ([`elab`]),
 //! - contextual internal typing `Δ; Γ ⊢ d : τ` ([`internal_typing`]),
-//! - fuel-limited big-step evaluation of incomplete programs, hole filling
-//!   `⟦d/u⟧`, and resumption ([`eval`]),
+//! - fuel-limited evaluation of incomplete programs on a CEK-style
+//!   environment machine ([`machine`]), with hole filling `⟦d/u⟧` and
+//!   resumption ([`eval`]),
 //! - the value/indeterminate/final classification ([`final_form`]),
 //! - a surface-syntax parser ([`parse`]) and a width-aware pretty printer
 //!   ([`pretty`]),
@@ -42,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod compile;
 pub mod elab;
 pub mod eval;
 pub mod external;

@@ -1,27 +1,29 @@
 //! A CEK-style environment machine over the hash-consed term store.
 //!
-//! The substitution-based tree evaluator ([`crate::eval::Evaluator`], the
-//! spec oracle) pays a substitution at every β/fix/case step. This machine
-//! pays none on the hot path: closures are `(code, env)` pairs over a
-//! persistent environment chain allocated in a per-run arena, the
-//! continuation is an explicit frame stack (so no host-stack recursion:
-//! it runs on the caller's thread at any recursion depth), and
+//! The substitution-based tree evaluator (the spec oracle, kept in the
+//! integration test crate) pays a substitution at every β/fix/case step.
+//! This machine pays none on the hot path: closures are `(code, env)`
+//! pairs over a persistent environment chain allocated in a per-run arena,
+//! the continuation is an explicit frame stack (so no host-stack
+//! recursion: it runs on the caller's thread at any recursion depth), and
 //! substitutions are *realized* only when a value escapes into a position
 //! that needs a term — a residual indeterminate form, a recorded
 //! hole-closure σ entry, or the final result.
 //!
-//! # Exact parity with the substitution semantics
+//! # Fuel
 //!
-//! The machine is differential-tested bit-identical to the tree evaluator:
-//! same values, same recorded σ environments, same error taxonomy, and the
-//! same step counts (so fuel runs out at the same instant). Three
+//! Fuel counts machine transitions, one per control-state dispatch,
+//! checked once per transition in the run loop: a run that needs more
+//! than its budget stops with [`EvalError::OutOfFuel`] after exactly
+//! `fuel + 1` transitions. The same count is reported as
+//! [`MachineCounters::transitions`].
+//!
+//! # Parity with the substitution semantics
+//!
+//! The machine is differential-tested against the tree evaluator: same
+//! values, same recorded σ environments, same error taxonomy. Two
 //! disciplines make this exact rather than approximate:
 //!
-//! - **Replay charging.** Where the tree evaluator re-evaluates a value it
-//!   substituted into a variable position, the machine returns the binding
-//!   in O(1) and charges the steps that re-evaluation would have consumed
-//!   (see [`crate::compile::ReplayCosts`]). Fuel exhaustion therefore
-//!   happens at exactly the same step index, and `steps()` agrees.
 //! - **Closed-binding invariant.** Every environment binding materializes
 //!   to a *closed* term. Substituting closed terms never renames binders
 //!   and makes simultaneous substitution agree with the chronological
@@ -35,14 +37,12 @@
 //! - **Lazy σ from the live environment.** A hole closure records σ by
 //!   applying the environment to each entry: entries whose free variables
 //!   are fully covered are evaluated *by the machine* under the same
-//!   environment (charging what the tree evaluator's `eval_sigma` would),
-//!   uncovered entries are realized unevaluated — matching Def. 4.7's
-//!   closed/open split because covered entries are closed by the
-//!   invariant above.
+//!   environment, uncovered entries are realized unevaluated — matching
+//!   Def. 4.7's closed/open split because covered entries are closed by
+//!   the invariant above.
 
 use std::collections::HashMap;
 
-use crate::compile::ReplayCosts;
 use crate::eval::EvalError;
 use crate::ops::BinOp;
 use crate::store::{Node, TermId, TermStore, VarId};
@@ -52,10 +52,8 @@ use crate::store::{Node, TermId, TermStore, VarId};
 /// functions of the evaluated terms alone, so totals are deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineCounters {
-    /// Machine transitions executed (one per control-state dispatch).
-    /// Distinct from `EvalSteps`: replay charging makes `EvalSteps` count
-    /// the steps the substitution semantics would have taken, while this
-    /// counts the work the machine actually did.
+    /// Machine transitions executed (one per control-state dispatch) —
+    /// the unit fuel is counted in.
     pub transitions: u64,
     /// Arena allocations: frame pushes plus environment-node pushes.
     pub allocs: u64,
@@ -65,8 +63,8 @@ pub struct MachineCounters {
 }
 
 impl MachineCounters {
-    /// Adds `other` into `self` (used when folding per-task counters on
-    /// the coordinating thread, in task order).
+    /// Adds `other` into `self` (used to total the counters of several
+    /// machine runs before reporting them once).
     pub fn merge(&mut self, other: MachineCounters) {
         self.transitions += other.transitions;
         self.allocs += other.allocs;
@@ -92,9 +90,8 @@ enum Binding {
     /// A value (its materialization is closed, by invariant).
     Val(MVal),
     /// A recursive binding: the `Fix` node and the environment to unroll
-    /// it in. Looking it up re-enters the fix body — the machine analogue
-    /// of the tree evaluator's unrolling substitution, at zero charge
-    /// (the `Fix` dispatch itself charges the step).
+    /// it in. Looking it up re-enters the fix node — the machine analogue
+    /// of the tree evaluator's unrolling substitution.
     Thunk(TermId, u32),
 }
 
@@ -167,8 +164,8 @@ enum Ctrl {
 }
 
 /// A compact, all-`Copy` decoding of a node — lets dispatch end its
-/// borrow of the store before charging fuel or pushing frames, without
-/// cloning node payload.
+/// borrow of the store before pushing frames, without cloning node
+/// payload.
 #[derive(Clone, Copy)]
 enum Op {
     Literal,
@@ -194,19 +191,17 @@ enum Op {
 /// The environment machine. Construct with a fuel budget, call
 /// [`MachineEvaluator::eval`] (scratch arenas are reset between calls but
 /// keep their capacity, so a per-splice evaluator reuses its allocations),
-/// read [`MachineEvaluator::steps`] and [`MachineEvaluator::counters`].
+/// read [`MachineEvaluator::counters`].
 #[derive(Debug)]
 pub struct MachineEvaluator<'s> {
     store: &'s mut TermStore,
     fuel: u64,
-    steps: u64,
     envs: Vec<EnvNode>,
     frames: Vec<Frame>,
     /// Realized `(code, env)` pairs — prevents exponential re-realization
     /// of shared closures. Env indices are per-call, so this resets with
     /// the arenas.
     mat_memo: HashMap<(TermId, u32), TermId>,
-    replay: ReplayCosts,
     counters: MachineCounters,
 }
 
@@ -216,23 +211,15 @@ impl<'s> MachineEvaluator<'s> {
         MachineEvaluator {
             store,
             fuel,
-            steps: 0,
             envs: Vec::new(),
             frames: Vec::new(),
             mat_memo: HashMap::new(),
-            replay: ReplayCosts::new(),
             counters: MachineCounters::default(),
         }
     }
 
-    /// The number of evaluation steps consumed so far — bit-identical to
-    /// what [`crate::eval::Evaluator::steps`] would report for the same
-    /// terms, across repeated `eval` calls.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Machine work counters accumulated across `eval` calls.
+    /// Machine work counters accumulated across `eval` calls. The fuel
+    /// budget bounds their `transitions` total.
     pub fn counters(&self) -> MachineCounters {
         self.counters
     }
@@ -241,8 +228,8 @@ impl<'s> MachineEvaluator<'s> {
     ///
     /// # Errors
     ///
-    /// See [`EvalError`] — same taxonomy, same messages, and same fuel
-    /// exhaustion points as the substitution-based evaluators.
+    /// See [`EvalError`] — same taxonomy and messages as the
+    /// substitution-based tree evaluator.
     pub fn eval(&mut self, t: TermId) -> Result<TermId, EvalError> {
         self.envs.clear();
         self.frames.clear();
@@ -258,6 +245,9 @@ impl<'s> MachineEvaluator<'s> {
         let mut ctrl = Ctrl::Eval(t0, NIL);
         loop {
             self.counters.transitions += 1;
+            if self.counters.transitions > self.fuel {
+                return Err(EvalError::OutOfFuel);
+            }
             ctrl = match ctrl {
                 Ctrl::Eval(t, env) => self.step_eval(t, env)?,
                 Ctrl::Ret(v) => match self.frames.pop() {
@@ -265,19 +255,6 @@ impl<'s> MachineEvaluator<'s> {
                     Some(frame) => self.step_ret(frame, v)?,
                 },
             };
-        }
-    }
-
-    /// Charges `n` steps against the fuel budget, pinning `steps` to
-    /// `fuel + 1` on exhaustion — exactly where the unit-step evaluators
-    /// land when they cross the budget.
-    fn charge(&mut self, n: u64) -> Result<(), EvalError> {
-        if self.steps.saturating_add(n) > self.fuel {
-            self.steps = self.fuel + 1;
-            Err(EvalError::OutOfFuel)
-        } else {
-            self.steps += n;
-            Ok(())
         }
     }
 
@@ -316,130 +293,65 @@ impl<'s> MachineEvaluator<'s> {
     }
 
     fn step_eval(&mut self, t: TermId, env: u32) -> Result<Ctrl, EvalError> {
-        match self.decode(t) {
+        Ok(match self.decode(t) {
             Op::Var(x) => match self.lookup(env, x) {
-                Some(Binding::Val(v)) => {
-                    // The tree evaluator re-evaluates the substituted
-                    // value here; charge what that replay costs and
-                    // return the binding unchanged (re-evaluation of a
-                    // final term is the identity).
-                    let cost = self.replay_cost(v);
-                    self.charge(cost)?;
-                    Ok(Ctrl::Ret(v))
-                }
+                Some(Binding::Val(v)) => Ctrl::Ret(v),
                 // The tree evaluator meets the substituted `fix` term and
-                // dispatches on it (charging there); jump straight to it.
-                Some(Binding::Thunk(f, e)) => Ok(Ctrl::Eval(f, e)),
-                None => {
-                    self.charge(1)?;
-                    Err(EvalError::FreeVariable(self.store.var(x).clone()))
-                }
+                // dispatches on it; jump straight to it.
+                Some(Binding::Thunk(f, e)) => Ctrl::Eval(f, e),
+                None => return Err(EvalError::FreeVariable(self.store.var(x).clone())),
             },
-            Op::Literal => {
-                self.charge(1)?;
-                Ok(Ctrl::Ret(MVal::Done(t)))
+            Op::Literal | Op::TupleEmpty => Ctrl::Ret(MVal::Done(t)),
+            Op::Lam if env == NIL || self.store.is_closed(t) => Ctrl::Ret(MVal::Done(t)),
+            Op::Lam => Ctrl::Ret(MVal::Clo(t, env)),
+            Op::Fix(x, body) if self.covered(t, env) => {
+                let e2 = self.push_env(x, Binding::Thunk(t, env), env);
+                Ctrl::Eval(body, e2)
             }
-            Op::Lam => {
-                self.charge(1)?;
-                if env == NIL || self.store.is_closed(t) {
-                    Ok(Ctrl::Ret(MVal::Done(t)))
-                } else {
-                    Ok(Ctrl::Ret(MVal::Clo(t, env)))
-                }
+            Op::Fix(..) => {
+                // An open fix (open program): its thunk would not
+                // materialize closed, so unroll literally, exactly as the
+                // tree evaluator does.
+                let m_fix = self.subst_env(t, env);
+                let (x2, body2) = match *self.store.node(m_fix) {
+                    Node::Fix(x2, _, b2) => (x2, b2),
+                    _ => unreachable!("substitution preserves the head constructor"),
+                };
+                Ctrl::Eval(self.store.subst_one(body2, x2, m_fix), NIL)
             }
-            Op::Fix(x, body) => {
-                self.charge(1)?;
-                if self.covered(t, env) {
-                    let e2 = self.push_env(x, Binding::Thunk(t, env), env);
-                    Ok(Ctrl::Eval(body, e2))
-                } else {
-                    // An open fix (open program): its thunk would not
-                    // materialize closed, so unroll literally, exactly as
-                    // the tree evaluator does.
-                    let m_fix = self.subst_env(t, env);
-                    let (x2, body2) = match *self.store.node(m_fix) {
-                        Node::Fix(x2, _, b2) => (x2, b2),
-                        _ => unreachable!("substitution preserves the head constructor"),
-                    };
-                    let unrolled = self.store.subst_one(body2, x2, m_fix);
-                    Ok(Ctrl::Eval(unrolled, NIL))
-                }
-            }
-            Op::Ap(f) => {
-                self.charge(1)?;
-                self.push_frame(Frame::ApFun { node: t, env });
-                Ok(Ctrl::Eval(f, env))
-            }
-            Op::Bin(a) => {
-                self.charge(1)?;
-                self.push_frame(Frame::BinLhs { node: t, env });
-                Ok(Ctrl::Eval(a, env))
-            }
-            Op::If(c) => {
-                self.charge(1)?;
-                self.push_frame(Frame::IfCond { node: t, env });
-                Ok(Ctrl::Eval(c, env))
-            }
-            Op::TupleEmpty => {
-                self.charge(1)?;
-                Ok(Ctrl::Ret(MVal::Done(t)))
-            }
+            Op::Ap(f) => self.descend(Frame::ApFun { node: t, env }, f, env),
+            Op::Bin(a) => self.descend(Frame::BinLhs { node: t, env }, a, env),
+            Op::If(c) => self.descend(Frame::IfCond { node: t, env }, c, env),
             Op::Tuple(first) => {
-                self.charge(1)?;
-                self.push_frame(Frame::TupleField {
+                let frame = Frame::TupleField {
                     node: t,
                     env,
                     idx: 0,
                     done: Vec::new(),
-                });
-                Ok(Ctrl::Eval(first, env))
+                };
+                self.descend(frame, first, env)
             }
-            Op::Proj(s) => {
-                self.charge(1)?;
-                self.push_frame(Frame::ProjScrut { node: t });
-                Ok(Ctrl::Eval(s, env))
-            }
-            Op::Inj(e) => {
-                self.charge(1)?;
-                self.push_frame(Frame::InjWrap { node: t });
-                Ok(Ctrl::Eval(e, env))
-            }
-            Op::Case(s) => {
-                self.charge(1)?;
-                self.push_frame(Frame::CaseScrut { node: t, env });
-                Ok(Ctrl::Eval(s, env))
-            }
-            Op::Cons(h) => {
-                self.charge(1)?;
-                self.push_frame(Frame::ConsHead { node: t, env });
-                Ok(Ctrl::Eval(h, env))
-            }
-            Op::ListCase(s) => {
-                self.charge(1)?;
-                self.push_frame(Frame::ListCaseScrut { node: t, env });
-                Ok(Ctrl::Eval(s, env))
-            }
-            Op::Roll(e) => {
-                self.charge(1)?;
-                self.push_frame(Frame::RollWrap { node: t });
-                Ok(Ctrl::Eval(e, env))
-            }
-            Op::Unroll(e) => {
-                self.charge(1)?;
-                self.push_frame(Frame::UnrollScrut);
-                Ok(Ctrl::Eval(e, env))
-            }
-            Op::Hole => {
-                self.charge(1)?;
-                self.run_sigma(t, env, 0, Vec::new())
-            }
+            Op::Proj(s) => self.descend(Frame::ProjScrut { node: t }, s, env),
+            Op::Inj(e) => self.descend(Frame::InjWrap { node: t }, e, env),
+            Op::Case(s) => self.descend(Frame::CaseScrut { node: t, env }, s, env),
+            Op::Cons(h) => self.descend(Frame::ConsHead { node: t, env }, h, env),
+            Op::ListCase(s) => self.descend(Frame::ListCaseScrut { node: t, env }, s, env),
+            Op::Roll(e) => self.descend(Frame::RollWrap { node: t }, e, env),
+            Op::Unroll(e) => self.descend(Frame::UnrollScrut, e, env),
+            Op::Hole => return self.run_sigma(t, env, 0, Vec::new()),
             Op::Skeleton => {
-                self.charge(1)?;
-                Err(EvalError::IllTyped(
+                return Err(EvalError::IllTyped(
                     "evaluation of editor-skeleton node".to_owned(),
                 ))
             }
-        }
+        })
+    }
+
+    /// Pushes `frame` and continues with `next` under `env`.
+    fn descend(&mut self, frame: Frame, next: TermId, env: u32) -> Ctrl {
+        self.frames.push(frame);
+        self.counters.allocs += 1;
+        Ctrl::Eval(next, env)
     }
 
     fn step_ret(&mut self, frame: Frame, v: MVal) -> Result<Ctrl, EvalError> {
@@ -449,8 +361,7 @@ impl<'s> MachineEvaluator<'s> {
                     Node::Ap(_, a) => a,
                     _ => unreachable!("ApFun frame on non-Ap node"),
                 };
-                self.push_frame(Frame::ApArg { fun: v });
-                Ok(Ctrl::Eval(arg, env))
+                Ok(self.descend(Frame::ApArg { fun: v }, arg, env))
             }
             Frame::ApArg { fun } => self.apply(fun, v),
             Frame::BinLhs { node, env } => {
@@ -458,8 +369,7 @@ impl<'s> MachineEvaluator<'s> {
                     Node::Bin(op, _, b) => (op, b),
                     _ => unreachable!("BinLhs frame on non-Bin node"),
                 };
-                self.push_frame(Frame::BinRhs { op, lhs: v });
-                Ok(Ctrl::Eval(rhs, env))
+                Ok(self.descend(Frame::BinRhs { op, lhs: v }, rhs, env))
             }
             Frame::BinRhs { op, lhs } => {
                 let da = self.materialize(lhs);
@@ -515,13 +425,13 @@ impl<'s> MachineEvaluator<'s> {
                 done.push((label, m));
                 match next {
                     Some(e) => {
-                        self.push_frame(Frame::TupleField {
+                        let frame = Frame::TupleField {
                             node,
                             env,
                             idx: idx + 1,
                             done,
-                        });
-                        Ok(Ctrl::Eval(e, env))
+                        };
+                        Ok(self.descend(frame, e, env))
                     }
                     None => Ok(Ctrl::Ret(MVal::Done(
                         self.store.intern(Node::Tuple(done.into())),
@@ -573,8 +483,7 @@ impl<'s> MachineEvaluator<'s> {
                     _ => unreachable!("ConsHead frame on non-Cons node"),
                 };
                 let head = self.materialize(v);
-                self.push_frame(Frame::ConsTail { head });
-                Ok(Ctrl::Eval(tail, env))
+                Ok(self.descend(Frame::ConsTail { head }, tail, env))
             }
             Frame::ConsTail { head } => {
                 let dt = self.materialize(v);
@@ -782,7 +691,7 @@ impl<'s> MachineEvaluator<'s> {
 
     /// Processes hole-closure σ entries from `idx`: covered entries (all
     /// free variables bound — hence closed once realized) are evaluated
-    /// by the machine under the same environment, exactly as `eval_sigma`
+    /// by the machine under the same environment, as the tree evaluator
     /// evaluates closed entries; uncovered entries are realized
     /// unevaluated, matching the open-entry clause of Def. 4.7.
     fn run_sigma(
@@ -797,13 +706,13 @@ impl<'s> MachineEvaluator<'s> {
         while i < len {
             let (x, entry) = self.sigma_of(node)[i as usize];
             if self.covered(entry, env) {
-                self.push_frame(Frame::SigmaEntry {
+                let frame = Frame::SigmaEntry {
                     node,
                     env,
                     idx: i,
                     done,
-                });
-                return Ok(Ctrl::Eval(entry, env));
+                };
+                return Ok(self.descend(frame, entry, env));
             }
             let m = self.subst_env(entry, env);
             done.push((x, m));
@@ -814,8 +723,7 @@ impl<'s> MachineEvaluator<'s> {
                 self.store.intern(Node::EmptyHole(u, done.into())),
             ))),
             Node::NonEmptyHole(_, _, inner) => {
-                self.push_frame(Frame::HoleInner { node, done });
-                Ok(Ctrl::Eval(inner, env))
+                Ok(self.descend(Frame::HoleInner { node, done }, inner, env))
             }
             _ => unreachable!("run_sigma on non-hole node"),
         }
@@ -902,11 +810,6 @@ impl<'s> MachineEvaluator<'s> {
         id
     }
 
-    fn push_frame(&mut self, frame: Frame) {
-        self.frames.push(frame);
-        self.counters.allocs += 1;
-    }
-
     /// Whether every free variable of `t` is bound in `env` — in which
     /// case `subst_env(t, env)` is closed, since bindings materialize
     /// closed by invariant.
@@ -923,15 +826,6 @@ impl<'s> MachineEvaluator<'s> {
         match v {
             MVal::Done(d) => self.store.is_closed(d),
             MVal::Clo(l, e) => self.covered(l, e),
-        }
-    }
-
-    fn replay_cost(&mut self, v: MVal) -> u64 {
-        match v {
-            // The tree evaluator would meet the realized lambda and
-            // charge its single dispatch step.
-            MVal::Clo(..) => 1,
-            MVal::Done(d) => self.replay.cost(self.store, d),
         }
     }
 
@@ -983,29 +877,22 @@ mod tests {
     use super::*;
     use crate::build::*;
     use crate::elab::elab_syn;
-    use crate::eval::{Evaluator, DEFAULT_FUEL};
+    use crate::eval::DEFAULT_FUEL;
+    use crate::ident::Var;
+    use crate::internal::IExp;
     use crate::typ::Typ;
     use crate::typing::Ctx;
 
-    fn machine_run(e: &crate::external::EExp) -> (Result<crate::internal::IExp, EvalError>, u64) {
+    fn machine_run(e: &crate::external::EExp) -> Result<IExp, EvalError> {
         let (d, _, _) = elab_syn(&Ctx::empty(), e).expect("elaborates");
         let mut store = TermStore::new();
         let t = store.intern_iexp(&d);
-        let mut m = MachineEvaluator::with_fuel(&mut store, DEFAULT_FUEL);
-        let result = m.eval(t);
-        let steps = m.steps();
-        (result.map(|id| store.to_iexp(id)), steps)
-    }
-
-    fn tree_run(e: &crate::external::EExp) -> (Result<crate::internal::IExp, EvalError>, u64) {
-        let (d, _, _) = elab_syn(&Ctx::empty(), e).expect("elaborates");
-        let mut ev = Evaluator::with_fuel(DEFAULT_FUEL);
-        let result = ev.eval(&d);
-        (result, ev.steps())
+        let result = MachineEvaluator::with_fuel(&mut store, DEFAULT_FUEL).eval(t);
+        result.map(|id| store.to_iexp(id))
     }
 
     #[test]
-    fn beta_and_recursion_match_the_tree_evaluator() {
+    fn beta_and_recursion_evaluate_to_known_values() {
         let fact = letrec(
             "fact",
             Typ::arrow(Typ::Int, Typ::Int),
@@ -1021,15 +908,12 @@ mod tests {
             ap(var("fact"), int(6)),
         );
         let samples = [
-            add(int(2), mul(int(3), int(4))),
-            ap(lam("x", Typ::Int, add(var("x"), var("x"))), int(21)),
-            fact,
+            (add(int(2), mul(int(3), int(4))), 14),
+            (ap(lam("x", Typ::Int, add(var("x"), var("x"))), int(21)), 42),
+            (fact, 720),
         ];
-        for e in &samples {
-            let (mr, ms) = machine_run(e);
-            let (tr, ts) = tree_run(e);
-            assert_eq!(mr, tr, "result diverged for {e:?}");
-            assert_eq!(ms, ts, "steps diverged for {e:?}");
+        for (e, expected) in &samples {
+            assert_eq!(machine_run(e), Ok(IExp::Int(*expected)), "{e:?}");
         }
     }
 
@@ -1038,10 +922,15 @@ mod tests {
         // (λx.⦇⦈u) 5 ⇓ ⦇⦈⟨u;[5/x]⟩ without ever substituting into the
         // hole: σ is realized from the environment at the hole.
         let e = ap(lam("x", Typ::Int, asc(hole(0), Typ::Int)), int(5));
-        let (mr, ms) = machine_run(&e);
-        let (tr, ts) = tree_run(&e);
-        assert_eq!(mr, tr);
-        assert_eq!(ms, ts);
+        match machine_run(&e) {
+            Ok(IExp::EmptyHole(_, sigma)) => {
+                assert_eq!(
+                    sigma,
+                    crate::internal::Sigma::from_iter([(Var::new("x"), IExp::Int(5))])
+                );
+            }
+            other => panic!("expected a hole closure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1057,7 +946,7 @@ mod tests {
         let t = store.intern_iexp(&d);
         let mut m = MachineEvaluator::with_fuel(&mut store, 10_000);
         assert_eq!(m.eval(t), Err(EvalError::OutOfFuel));
-        assert_eq!(m.steps(), 10_001);
+        assert_eq!(m.counters().transitions, 10_001);
     }
 
     #[test]

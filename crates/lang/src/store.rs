@@ -17,10 +17,11 @@
 //!   unrolling.
 //!
 //! The store is a strict *accelerator*: results converted back through
-//! [`TermStore::to_iexp`] are bit-identical to what the tree-based
-//! [`crate::internal::IExp::subst`] / [`crate::eval::Evaluator`] pipeline
-//! produces, including the recorded substitutions σ on hole closures and
-//! the exact alpha-renaming scheme (`base%i`). This invariant is gated by
+//! [`TermStore::to_iexp`] are bit-identical to what tree substitution
+//! ([`crate::internal::IExp::subst`], and the tree evaluator the
+//! integration tests keep as the spec) produces, including the recorded
+//! substitutions σ on hole closures and the exact alpha-renaming scheme
+//! (`base%i`). This invariant is gated by
 //! the `interned ≡ seed` property suite in the integration tests.
 //!
 //! # Id layout and invariants

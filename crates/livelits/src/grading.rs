@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use hazel_lang::build;
     use hazel_lang::elab::elab_syn;
-    use hazel_lang::eval::eval;
+    use hazel_lang::eval::{eval_traced, DEFAULT_FUEL};
     use hazel_lang::external::EExp;
     use hazel_lang::ident::Label;
     use hazel_lang::typ::Typ;
@@ -113,7 +113,7 @@ mod tests {
             program = EExp::Let(b.var, Some(b.ty), Box::new(b.def), Box::new(program));
         }
         let (d, _, _) = elab_syn(&Ctx::empty(), &program).unwrap();
-        eval(&d).unwrap()
+        eval_traced(&d, DEFAULT_FUEL).unwrap()
     }
 
     #[test]

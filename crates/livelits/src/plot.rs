@@ -156,7 +156,7 @@ impl Livelit for PlotLivelit {
             Some(LiveResult::Val(f)) => sample_all(
                 &f,
                 (0..WIDTH).map(|i| lo + (hi - lo) * i as f64 / (WIDTH - 1) as f64),
-                200_000,
+                400_000,
             ),
             // No closure, or the function itself is indeterminate: no
             // samples (Sec. 2.5.2's graceful degradation).
@@ -333,10 +333,10 @@ mod tests {
 
     #[test]
     fn deeply_recursive_samples_fit_a_default_thread_stack() {
-        // Every sample makes 10 000 non-tail recursive calls (about 120k
-        // evaluation steps, within the 200k sample fuel). Sampling runs on
-        // the environment machine, whose control state lives on its frame
-        // arena, so Rust's default 2 MiB thread stack suffices.
+        // Every sample makes 10 000 non-tail recursive calls (about 220k
+        // machine transitions, within the 400k sample fuel). Sampling
+        // runs on the environment machine, whose control state lives on
+        // its frame arena, so Rust's default 2 MiB thread stack suffices.
         let text = std::thread::Builder::new()
             .stack_size(2 * 1024 * 1024)
             .spawn(|| {

@@ -276,7 +276,10 @@ mod tests {
         // Applied to its bounds it evaluates to the thumb value.
         let applied = build::aps(pexp, [build::int(0), build::int(100)]);
         let (d, _, _) = hazel_lang::elab::elab_syn(&Ctx::empty(), &applied).unwrap();
-        assert_eq!(hazel_lang::eval::eval(&d).unwrap(), IExp::Int(92));
+        assert_eq!(
+            hazel_lang::eval::eval_traced(&d, hazel_lang::eval::DEFAULT_FUEL).unwrap(),
+            IExp::Int(92)
+        );
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub enum Counter {
     AnalyzerCacheHits,
     /// Incremental-analyzer invocations recomputed.
     AnalyzerCacheMisses,
-    /// Recursive evaluation steps consumed by an evaluator run.
-    EvalSteps,
     /// Incremental-engine runs that took the fill-and-resume fast path.
     IncrementalFastPaths,
     /// Incremental-engine runs that re-collected from scratch.
@@ -96,9 +94,7 @@ pub enum Counter {
     /// not additive).
     ViewArenaLive,
     /// Environment-machine transitions executed (control-state
-    /// dispatches). Distinct from [`Counter::EvalSteps`]: replay charging
-    /// keeps `EvalSteps` equal to what the substitution semantics would
-    /// consume, while this counts the work the machine actually did.
+    /// dispatches). Evaluation fuel is counted in the same unit.
     MachineSteps,
     /// Environment-machine arena allocations (continuation frames plus
     /// environment nodes pushed).
@@ -123,7 +119,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 40] = [
         Counter::HolesRemaining,
         Counter::ExpansionsPerformed,
         Counter::SplicesEvaluated,
@@ -132,7 +128,6 @@ impl Counter {
         Counter::ViewDiffPatches,
         Counter::AnalyzerCacheHits,
         Counter::AnalyzerCacheMisses,
-        Counter::EvalSteps,
         Counter::IncrementalFastPaths,
         Counter::IncrementalFullRuns,
         Counter::InternerHits,
@@ -184,7 +179,6 @@ impl Counter {
             Counter::ViewDiffPatches => "view_diff_patches",
             Counter::AnalyzerCacheHits => "analyzer_cache_hits",
             Counter::AnalyzerCacheMisses => "analyzer_cache_misses",
-            Counter::EvalSteps => "eval_steps",
             Counter::IncrementalFastPaths => "incremental_fast_paths",
             Counter::IncrementalFullRuns => "incremental_full_runs",
             Counter::InternerHits => "interner_hits",

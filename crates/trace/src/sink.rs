@@ -395,14 +395,14 @@ mod tests {
     fn stats_sum_counters() {
         let mut sink = StatsSink::new();
         let count = |delta| Event::Count {
-            counter: Counter::EvalSteps,
+            counter: Counter::MachineSteps,
             delta,
             span: None,
             t_ns: 0,
         };
         sink.record(&count(3));
         sink.record(&count(4));
-        assert_eq!(sink.snapshot().counter(Counter::EvalSteps), 7);
+        assert_eq!(sink.snapshot().counter(Counter::MachineSteps), 7);
         assert_eq!(sink.snapshot().counter(Counter::ViewDiffNodes), 0);
     }
 

@@ -257,7 +257,7 @@ mod tests {
         assert!(!enabled());
         let guard = span("nothing");
         assert!(guard.id().is_none());
-        count(Counter::EvalSteps, 5);
+        count(Counter::MachineSteps, 5);
     }
 
     #[test]

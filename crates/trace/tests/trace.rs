@@ -14,7 +14,7 @@ fn traced_workload() {
     }
     {
         let _eval = span("cc.eval");
-        count(Counter::EvalSteps, 41);
+        count(Counter::MachineSteps, 41);
         let _inner = span_prefixed("analysis.pass.", "hygiene");
     }
     count(Counter::HolesRemaining, 1);
@@ -65,7 +65,7 @@ fn span_nesting_records_parent_links() {
             })
             .expect("counter recorded")
     };
-    assert_eq!(count_span(Counter::EvalSteps), Some(eval_id));
+    assert_eq!(count_span(Counter::MachineSteps), Some(eval_id));
     assert_eq!(count_span(Counter::HolesRemaining), Some(run_id));
 }
 
@@ -96,7 +96,7 @@ fn a_tracer_records_only_its_installing_thread() {
                 .spawn(|| {
                     assert!(!livelit_trace::enabled(), "no tracer on this thread");
                     let _stray = span("stray");
-                    count(Counter::EvalSteps, 7);
+                    count(Counter::MachineSteps, 7);
                 })
                 .join()
                 .unwrap();
@@ -124,12 +124,12 @@ fn counter_aggregation_sums_deltas_per_counter() {
     let tracer = Tracer::deterministic(sink.clone());
     {
         let _session = install(&tracer);
-        count(Counter::EvalSteps, 10);
-        count(Counter::EvalSteps, 32);
+        count(Counter::MachineSteps, 10);
+        count(Counter::MachineSteps, 32);
         count(Counter::SplicesEvaluated, 1);
     }
     let stats = sink.snapshot();
-    assert_eq!(stats.counter(Counter::EvalSteps), 42);
+    assert_eq!(stats.counter(Counter::MachineSteps), 42);
     assert_eq!(stats.counter(Counter::SplicesEvaluated), 1);
     assert_eq!(stats.counter(Counter::ClosuresCollected), 0);
 }
@@ -183,11 +183,11 @@ fn install_guard_restores_disabled_state() {
     {
         let _session = install(&tracer);
         assert!(livelit_trace::enabled());
-        count(Counter::EvalSteps, 1);
+        count(Counter::MachineSteps, 1);
     }
     assert!(!livelit_trace::enabled());
     // Probes after uninstall are inert: nothing new is recorded.
-    count(Counter::EvalSteps, 100);
+    count(Counter::MachineSteps, 100);
     let _orphan = span("orphan");
     drop(_orphan);
     assert_eq!(sink.len(), 1);
@@ -204,5 +204,5 @@ fn render_events_produces_indented_text() {
     let text = livelit_trace::render_events(&sink.events());
     assert!(text.contains("▶ engine.run #1"), "{text}");
     assert!(text.contains("  ▶ parse"), "{text}");
-    assert!(text.contains("+ eval_steps += 41"), "{text}");
+    assert!(text.contains("+ machine_steps += 41"), "{text}");
 }

@@ -12,12 +12,18 @@
 //!
 //! Randomness comes from a self-contained xorshift generator ([`XorShift`])
 //! rather than the `rand` crate, so the suite builds with no network access.
+//!
+//! The crate also keeps the differential oracles production code no longer
+//! carries: the substitution-based tree evaluator ([`spec`]) and the
+//! rebuild-everything view pass ([`compute_views_from_scratch`]).
 
 use std::collections::BTreeMap;
 
 use hazel::lang::external::EExp;
 use hazel::lang::unexpanded::{Splice, UCaseArm};
 use hazel::prelude::*;
+
+pub mod spec;
 
 /// A small, deterministic xorshift64* pseudo-random generator.
 ///
@@ -77,9 +83,10 @@ impl XorShift {
 
 /// Runs `f` on a scoped thread with a 512 MiB stack and returns its result.
 ///
-/// The tree evaluator (the spec oracle the suites compare against) and
-/// `normalize` recurse on redex depth; generated programs and adversarial
-/// terms can recurse deeper than a test thread's default stack allows.
+/// The tree evaluator ([`spec::Evaluator`], the oracle the suites compare
+/// against) and [`spec::normalize`] recurse on redex depth; generated
+/// programs and adversarial terms can recurse deeper than a test thread's
+/// default stack allows.
 /// Production code never needs this: it evaluates on the environment
 /// machine, whose control state lives on an explicit frame arena.
 ///

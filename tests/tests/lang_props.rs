@@ -7,11 +7,11 @@
 //! fuzz pass lives behind the `proptest` feature (see `proptest_fuzz.rs`).
 
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::Evaluator;
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::parse::{parse_typ, parse_uexp};
 use hazel::lang::pretty::{print_uexp, Doc};
 use hazel::prelude::*;
+use integration_tests::spec::Evaluator;
 use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
 
 const FUEL: u64 = 2_000_000;

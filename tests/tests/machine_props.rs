@@ -1,22 +1,27 @@
-//! The environment machine must be unobservable: bit-identical to the
-//! substitution-based tree evaluator, the spec oracle.
+//! The environment machine must be unobservable: it must agree with the
+//! substitution-based tree evaluator, the spec oracle, on everything but
+//! cost.
 //!
-//! `MachineEvaluator` replaces substitution with persistent environments,
-//! Rust recursion with an explicit frame stack, and re-evaluation of
-//! substituted values with replay charging. None of that may be
+//! `MachineEvaluator` replaces substitution with persistent environments
+//! and Rust recursion with an explicit frame stack. None of that may be
 //! observable: over seeded random programs *and* adversarial hand-rolled
 //! internal terms (free variables, division by zero, ill-typed
-//! applications, unguarded recursion under tiny fuel budgets), the
-//! machine must agree with the tree evaluator on values, recorded σ
-//! environments, the `EvalError` taxonomy, and the exact step counts.
+//! applications, unguarded recursion), the machine must agree with the
+//! tree evaluator on values, recorded σ environments and the `EvalError`
+//! taxonomy. The two count fuel in different units (tree steps, machine
+//! transitions), so fuel exhaustion is compared only as an outcome: a
+//! divergent term runs out on both sides. The machine's own fuel
+//! contract is exact: a budget of `F` transitions either suffices, and
+//! then the result is unchanged, or stops the run after `F + 1`.
 
 use hazel::core::eval_splice;
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{EvalError, Evaluator, DEFAULT_FUEL};
+use hazel::lang::eval::{EvalError, DEFAULT_FUEL};
 use hazel::lang::machine::MachineEvaluator;
 use hazel::lang::TermStore;
 use hazel::prelude::*;
 use hazel::trace::{Counter, StatsSink, Tracer};
+use integration_tests::spec::Evaluator;
 use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
 
 const CASES: u64 = 60;
@@ -43,23 +48,15 @@ fn elaborated(phi: &LivelitCtx, program: &UExp) -> Option<IExp> {
     Some(d)
 }
 
-/// One evaluator's outcome and step count.
-type Run = (Result<IExp, EvalError>, u64);
-
-/// Runs the tree evaluator and the machine on `d` with the given fuel —
-/// tree, then machine.
-fn run_both(d: &IExp, fuel: u64) -> (Run, Run) {
-    let mut tree_ev = Evaluator::with_fuel(fuel);
-    let tree = tree_ev.eval(d);
-
-    let mut mstore = TermStore::new();
-    let mt = mstore.intern_iexp(d);
-    let mut machine = MachineEvaluator::with_fuel(&mut mstore, fuel);
-    let machined = machine.eval(mt);
-    let machine_steps = machine.steps();
-    let machined = machined.map(|r| mstore.to_iexp(r));
-
-    ((tree, tree_ev.steps()), (machined, machine_steps))
+/// Runs the machine on `d` with the given fuel: its outcome and the
+/// transitions it used.
+fn run_machine(d: &IExp, fuel: u64) -> (Result<IExp, EvalError>, u64) {
+    let mut store = TermStore::new();
+    let t = store.intern_iexp(d);
+    let mut machine = MachineEvaluator::with_fuel(&mut store, fuel);
+    let result = machine.eval(t);
+    let transitions = machine.counters().transitions;
+    (result.map(|r| store.to_iexp(r)), transitions)
 }
 
 #[test]
@@ -71,9 +68,9 @@ fn machine_matches_tree_on_random_programs() {
         let Some(d) = elaborated(&phi, &program) else {
             continue;
         };
-        let ((tree, tree_steps), (machined, machine_steps)) = run_both(&d, DEFAULT_FUEL);
+        let tree = Evaluator::with_fuel(DEFAULT_FUEL).eval(&d);
+        let (machined, _) = run_machine(&d, DEFAULT_FUEL);
         assert_eq!(machined, tree, "seed {seed}: machine vs tree diverge");
-        assert_eq!(machine_steps, tree_steps, "seed {seed}: steps diverge");
         // Hole closures — σ included — agree exactly.
         if let (Ok(a), Ok(b)) = (&tree, &machined) {
             assert_eq!(
@@ -94,7 +91,7 @@ fn machine_matches_tree_on_random_programs() {
 /// well-typed programs, this produces terms with free variables, holes
 /// whose σ entries are open, ill-typed redexes (applying an integer,
 /// branching on a list), division by zero, and unguarded `fix` — the
-/// populations where the error taxonomy and the fuel clamp must agree.
+/// populations where the error taxonomy and fuel exhaustion must agree.
 fn gen_adversarial(rng: &mut XorShift, depth: u32) -> IExp {
     let vars = ["a", "b", "c"];
     if depth == 0 {
@@ -143,6 +140,12 @@ fn gen_adversarial(rng: &mut XorShift, depth: u32) -> IExp {
     }
 }
 
+/// Tree fuel for the adversarial agreement check, in tree steps.
+const TREE_FUEL: u64 = 5_000;
+/// Machine fuel for the same check, in transitions: ample for every term
+/// the tree finishes within [`TREE_FUEL`].
+const MACHINE_FUEL: u64 = 100_000;
+
 #[test]
 fn machine_agrees_on_adversarial_terms_at_tiny_and_large_fuels() {
     // The recursive tree *oracle* needs a big stack for unguarded fix at
@@ -157,25 +160,33 @@ fn machine_agrees_on_adversarial_terms_body() {
     for seed in 0..200u64 {
         let mut rng = XorShift::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(17));
         let d = gen_adversarial(&mut rng, 4);
+        // Agreement under ample fuel: same value, σ and error, and a
+        // divergent term runs out of fuel on both sides.
+        let tree = Evaluator::with_fuel(TREE_FUEL).eval(&d);
+        let (machined, used) = run_machine(&d, MACHINE_FUEL);
+        assert_eq!(
+            machined, tree,
+            "seed {seed}: machine vs tree diverge on {d:?}"
+        );
+        match &machined {
+            Err(EvalError::OutOfFuel) => out_of_fuel_seen += 1,
+            Err(_) => errors_seen += 1,
+            Ok(_) => {}
+        }
+        // The fuel boundary: a budget of `fuel` transitions leaves a run
+        // that fits unchanged and stops any other after `fuel + 1`.
         for fuel in [5u64, 50, 5_000] {
-            let ((tree, tree_steps), (machined, machine_steps)) = run_both(&d, fuel);
-            assert_eq!(
-                machined, tree,
-                "seed {seed} fuel {fuel}: machine vs tree diverge on {d:?}"
-            );
-            assert_eq!(
-                machine_steps, tree_steps,
-                "seed {seed} fuel {fuel}: machine vs tree steps diverge on {d:?}"
-            );
-            match &machined {
-                Err(EvalError::OutOfFuel) => {
-                    // The clamp: both evaluators land exactly one past
-                    // the budget when fuel runs out.
-                    assert_eq!(machine_steps, fuel + 1, "seed {seed} fuel {fuel}");
-                    out_of_fuel_seen += 1;
-                }
-                Err(_) => errors_seen += 1,
-                Ok(_) => {}
+            let (at_fuel, used_at_fuel) = run_machine(&d, fuel);
+            if used <= fuel {
+                assert_eq!(at_fuel, machined, "seed {seed} fuel {fuel}");
+                assert_eq!(used_at_fuel, used, "seed {seed} fuel {fuel}");
+            } else {
+                assert_eq!(
+                    at_fuel,
+                    Err(EvalError::OutOfFuel),
+                    "seed {seed} fuel {fuel}"
+                );
+                assert_eq!(used_at_fuel, fuel + 1, "seed {seed} fuel {fuel}");
             }
         }
     }

@@ -14,11 +14,12 @@
 //! needs no property-testing framework.
 
 use hazel::lang::elab::elab_syn;
-use hazel::lang::eval::{fill, normalize, Evaluator};
+use hazel::lang::eval::fill;
 use hazel::lang::final_form::{is_final, is_indet, is_value};
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::typing::syn;
 use hazel::prelude::*;
+use integration_tests::spec::{normalize, Evaluator};
 use integration_tests::{on_big_stack, test_phi, Gen, GenConfig};
 
 const FUEL: u64 = 2_000_000;
@@ -102,7 +103,7 @@ fn thm_4_9_post_collection_resumption() {
         let d2 = hazel::core::cc::eval_full(&phi, &u, FUEL).expect("full eval");
         // Equality holds up to normalization of residual redexes in
         // positions evaluation cannot reach (stuck-branch bodies) — see
-        // `hazel::lang::eval::normalize`.
+        // `integration_tests::spec::normalize`.
         let n1 = on_big_stack(|| normalize(&d1, FUEL)).expect("normalizes");
         let n2 = on_big_stack(|| normalize(&d2, FUEL)).expect("normalizes");
         assert_eq!(n1, n2, "seed {seed}");
@@ -165,7 +166,7 @@ fn evaluation_commutes_with_hole_filling() {
         // Path A: fill everything, then evaluate.
         let mut filled = d.clone();
         for (u_name, fd) in &fills {
-            filled = fill(&filled, *u_name, fd);
+            filled = fill(&filled, &|u| (u == *u_name).then_some(fd));
         }
         let a = eval_big(&filled).expect("terminates");
 
@@ -174,7 +175,7 @@ fn evaluation_commutes_with_hole_filling() {
         let stuck = eval_big(&d).expect("terminates");
         let mut refilled = stuck;
         for (u_name, fd) in &fills {
-            refilled = fill(&refilled, *u_name, fd);
+            refilled = fill(&refilled, &|u| (u == *u_name).then_some(fd));
         }
         let b = eval_big(&refilled).expect("terminates");
 

@@ -8,8 +8,8 @@
 //! splice evaluation must produce results identical to the seed
 //! semantics, including the recorded σ inside hole closures (`IExp`
 //! equality on results compares closures structurally). The machine's
-//! bit-identity with the tree evaluator on the same programs (values, σ
-//! and exact step counts) is `machine_props`' subject.
+//! agreement with the tree evaluator on the same programs (values, σ and
+//! error classes, plus its own fuel boundary) is `machine_props`' subject.
 
 use hazel::core::{eval_splice, eval_splice_in_env};
 use hazel::lang::elab::elab_syn;
@@ -153,7 +153,7 @@ fn resume_result_matches_full_evaluation_through_the_store() {
     // machine internally: fill-and-resume equals expand-then-evaluate.
     // As in the seed metatheorem test, equality holds up to normalization
     // of residual redexes in positions evaluation cannot reach.
-    use hazel::lang::eval::normalize;
+    use integration_tests::spec::normalize;
     let phi = test_phi();
     for seed in 0..CASES {
         let (program, _) = gen_full(seed).program(&phi);

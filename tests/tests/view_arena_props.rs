@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hazel::editor::engine::ENGINE_FUEL;
 use hazel::editor::{open_module, IncrementalEngine};
+use hazel::lang::eval::DEFAULT_FUEL;
 use hazel::lang::parse::parse_uexp;
 use hazel::lang::value::iv;
 use hazel::mvu::{diff, try_apply, Html};
@@ -92,7 +92,7 @@ fn run_script(seed: u64) -> (Stats, usize) {
             let views: BTreeMap<HoleName, Arc<Html<Action>>> = {
                 let output = engine.run(&registry, &doc).expect("engine runs");
                 let (legacy_views, legacy_errors) =
-                    compute_views_from_scratch(&registry, &doc, &output.collection, ENGINE_FUEL);
+                    compute_views_from_scratch(&registry, &doc, &output.collection, DEFAULT_FUEL);
                 assert_eq!(
                     output.views.keys().collect::<Vec<_>>(),
                     legacy_views.keys().collect::<Vec<_>>(),
