@@ -659,10 +659,11 @@ struct RetainedResult {
     defs: usize,
     warm: hazel::trace::HistogramSnapshot,
     cold: hazel::trace::HistogramSnapshot,
-    /// Mean `engine.views` span time per warm drag — the render phase
-    /// alone, which the retained views are supposed to hold near-flat
-    /// while the surrounding Ω-rebuild/resume work stays O(doc).
-    views_mean_ns: u64,
+    /// Mean time per warm drag in each [`B17_SPLIT`] span, from the
+    /// traced pass.
+    split_ns: [u64; B17_SPLIT.len()],
+    /// Machine transitions per warm drag, from the traced pass.
+    machine_steps: u64,
     /// Median time for the legacy pipeline retained views replaced:
     /// rebuild every view from scratch, then whole-tree diff each against
     /// the previous render.
@@ -673,29 +674,20 @@ struct RetainedResult {
     rebuilt: u64,
 }
 
+/// The fast-path spans B17 splits a warm drag into: rebuilding Ω,
+/// re-resuming the σ a drag reaches, resuming the program result, and
+/// recomputing views.
+const B17_SPLIT: [&str; 4] = [
+    "engine.omega",
+    "cc.resume_envs",
+    "cc.resume_result",
+    "engine.views",
+];
+
 impl RetainedResult {
     fn reused_fraction(&self) -> f64 {
         self.reused as f64 / (self.reused + self.rebuilt).max(1) as f64
     }
-}
-
-/// The B17 document: `n` independent definitions, each spliced into its
-/// own `$slider`, so a drag on slider 0 invalidates exactly one retained
-/// view out of `n` (chained defs would change every σ and defeat the
-/// memo on purpose — independence is the point of the experiment).
-fn multi_slider_doc(n: usize) -> (LivelitRegistry, Document) {
-    let mut registry = LivelitRegistry::new();
-    hazel::std::register_all(&mut registry);
-    let mut src = String::new();
-    for i in 0..n {
-        src.push_str(&format!("def d{i} : Int = {} ;;\n", i + 1));
-    }
-    let sum = (0..n)
-        .map(|i| format!("$slider@{i}{{10}}(0 : Int; d{i} : Int)"))
-        .collect::<Vec<_>>()
-        .join(" + ");
-    src.push_str(&sum);
-    hazel::editor::open_module(registry, &src).expect("module")
 }
 
 /// B17 — retained views: render latency and patch payload size vs.
@@ -714,7 +706,7 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
     let samples_per_size = if config.quick { 20u32 } else { 40 };
     for n in sizes(config, &[4usize, 16, 64, 256]) {
         // Warm: slider drags on one instance, fast path, untraced.
-        let (registry, mut doc) = multi_slider_doc(n);
+        let (registry, mut doc) = integration_tests::multi_slider_doc(n);
         let mut engine = IncrementalEngine::new();
         engine.run(&registry, &doc).expect("pipeline");
         let warm = Histogram::new();
@@ -775,11 +767,13 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
         let stats = sink.snapshot();
         let reused = stats.counter(Counter::ViewNodesReused);
         let rebuilt = stats.counter(Counter::ViewNodesRebuilt);
-        let views_mean_ns = stats
-            .spans
-            .get("engine.views")
-            .map(|s| s.total_ns / traced_drags)
-            .unwrap_or(0);
+        let split_ns = B17_SPLIT.map(|name| {
+            stats
+                .spans
+                .get(name)
+                .map_or(0, |s| s.total_ns / traced_drags)
+        });
+        let machine_steps = stats.counter(Counter::MachineSteps) / traced_drags;
 
         // The before column: the legacy rebuild-everything render pass —
         // every view recomputed from scratch, then whole-tree diffed
@@ -805,7 +799,7 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
 
         // Cold: splice edits change the skeleton, so every sample
         // re-collects and the fresh lineage misses every memo.
-        let (registry, mut doc) = multi_slider_doc(n);
+        let (registry, mut doc) = integration_tests::multi_slider_doc(n);
         let mut engine = IncrementalEngine::new();
         engine.run(&registry, &doc).expect("pipeline");
         let cold = Histogram::new();
@@ -823,7 +817,8 @@ fn retained_render(config: &Config, hists: &mut Vec<HistResult>, out: &mut Vec<R
             defs: n,
             warm: warm.snapshot(),
             cold: cold.snapshot(),
-            views_mean_ns,
+            split_ns,
+            machine_steps,
             legacy_views_median_ns,
             patch_bytes,
             full_bytes,
@@ -1657,8 +1652,8 @@ fn render_report(
         }
         out.push_str(&format!(
             "{{\"defs\":{},\"warm_p50_ns\":{},\"warm_p99_ns\":{},\
-             \"cold_p50_ns\":{},\"cold_p99_ns\":{},\"warm_views_mean_ns\":{},\
-             \"legacy_views_median_ns\":{},\
+             \"cold_p50_ns\":{},\"cold_p99_ns\":{},\"warm_split_us\":{{{}}},\
+             \"warm_machine_steps\":{},\"legacy_views_median_ns\":{},\
              \"patch_bytes\":{},\
              \"full_bytes\":{},\"reused\":{},\"rebuilt\":{},\
              \"reused_fraction\":{:.4}}}",
@@ -1667,7 +1662,13 @@ fn render_report(
             r.warm.p99(),
             r.cold.p50(),
             r.cold.p99(),
-            r.views_mean_ns,
+            B17_SPLIT
+                .iter()
+                .zip(r.split_ns)
+                .map(|(name, ns)| format!("\"{name}\":{:.1}", ns as f64 / 1000.0))
+                .collect::<Vec<_>>()
+                .join(","),
+            r.machine_steps,
             r.legacy_views_median_ns,
             r.patch_bytes,
             r.full_bytes,
@@ -1786,9 +1787,20 @@ fn main() {
             r.defs,
             r.patch_bytes,
             r.full_bytes,
-            hazel::trace::fmt_ns(r.views_mean_ns),
+            hazel::trace::fmt_ns(r.split_ns[3]),
             hazel::trace::fmt_ns(r.legacy_views_median_ns),
             r.reused_fraction() * 100.0,
+        );
+        let split: Vec<String> = B17_SPLIT
+            .iter()
+            .zip(r.split_ns)
+            .map(|(name, ns)| format!("{name} {}", hazel::trace::fmt_ns(ns)))
+            .collect();
+        println!(
+            "B17  retained/warm_split           {:>4} defs  {}  machine_steps {}",
+            r.defs,
+            split.join("  "),
+            r.machine_steps,
         );
     }
 

@@ -24,7 +24,7 @@
 //! expansion followed by evaluation, and the executable form of that theorem
 //! lives in the integration test suite.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +37,7 @@ use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
 use hazel_lang::store::{TermId, TermStore, VarId};
 use hazel_lang::typ::Typ;
-use hazel_lang::typing::{syn, Ctx, Delta, TypeError};
+use hazel_lang::typing::{Ctx, Delta, TypeError};
 use hazel_lang::unexpanded::UExp;
 
 use crate::def::LivelitCtx;
@@ -92,9 +92,8 @@ impl Omega {
     ///
     /// Entries are filled in as they are (holes inside an entry are not
     /// filled), so the result does not depend on the order of Ω. Entries are
-    /// closed, so filling amounts to syntactic replacement (plus realization
-    /// of each closure's recorded environment, which is vacuous on closed
-    /// terms).
+    /// closed, so filling is syntactic replacement: no closure's recorded
+    /// environment needs realizing.
     pub fn fill(&self, d: &IExp) -> IExp {
         fill(d, &|u| self.map.get(&u).map(|entry| &entry.pexpansion))
     }
@@ -374,11 +373,10 @@ pub struct InternedEnvs {
     /// contents. Pairing an id with the lineage nonce makes it globally
     /// comparable, which is what view memo keys need.
     ///
-    /// [`Collection::refresh_after_omega_change`] moves the state
-    /// (`mem::take`) into a fresh `Arc`, so the nonce *survives* the
-    /// incremental fast path — only a from-scratch collection (which
-    /// builds a fresh default) starts a new lineage and conservatively
-    /// invalidates every memoized view.
+    /// The nonce *survives* [`Collection::refresh_after_omega_change`] —
+    /// only a from-scratch collection (which builds a fresh default)
+    /// starts a new lineage and conservatively invalidates every memoized
+    /// view.
     pub namespace: u64,
     /// The store holding interned σ values, splice terms, and results.
     pub store: TermStore,
@@ -448,11 +446,15 @@ pub struct Collection {
     /// — e.g. it sits in a branch that was not taken or a function that was
     /// never applied (Sec. 4.3.2's discussion).
     pub envs: BTreeMap<HoleName, Vec<Sigma>>,
+    /// The deduplicated proto-environments behind [`Self::envs`], index
+    /// for index, each with the livelit holes it mentions.
+    proto_envs: BTreeMap<HoleName, Vec<ProtoEnv>>,
     /// Evaluation fuel used for collection and resumption.
     fuel: u64,
     /// Interned mirror of [`Self::envs`], built lazily by live splice
     /// evaluation. Clones share it (the environments are immutable between
-    /// refreshes); a refresh replaces it wholesale.
+    /// refreshes); a refresh that re-resumes a σ moves it into a fresh
+    /// `Arc` without that σ's entry.
     interned: Arc<Mutex<InternedEnvs>>,
 }
 
@@ -492,27 +494,55 @@ impl Collection {
         Some((interned.namespace, sid))
     }
 
-    /// Recomputes the collected environments after Ω changed (a livelit
-    /// *model* changed, so its parameterized expansion changed) without
-    /// re-running cc-expansion or its evaluation — the incremental
-    /// fast path of Sec. 4.3.2. Callers must have replaced [`Self::omega`]
-    /// already.
+    /// Installs the cc-context `omega` built from the current livelit
+    /// models and recomputes the collected environments it reaches,
+    /// without re-running cc-expansion or its evaluation — the incremental
+    /// fast path of Sec. 4.3.2.
+    ///
+    /// Only the σ that mention a livelit hole whose parameterized
+    /// expansion changed are filled and resumed again. Every other σ
+    /// fills and resumes to what it did before, so it keeps its resumed
+    /// value and its interned id.
     ///
     /// # Errors
     ///
-    /// Propagates resumption errors.
-    pub fn refresh_after_omega_change(&mut self) -> Result<(), EvalError> {
-        self.envs = collect_envs(&self.proto_result, &self.omega, self.fuel)?;
-        // The (hole, index) → σ map is stale, but the term store and the
-        // splice-result cache survive: their keys are content-addressed
-        // (term structure, σ contents), so after a model edit only splices
-        // whose σ actually changed will miss. Move the state into a fresh
-        // Arc — pre-refresh clones keep the old (now emptied) shared state
-        // and rebuild their mirror lazily, which still matches *their*
-        // envs because interning is content-addressed too.
+    /// Propagates resumption errors. The environments are then partly
+    /// refreshed, so the caller must discard the collection.
+    pub fn refresh_after_omega_change(&mut self, omega: Omega) -> Result<(), EvalError> {
+        let _span = livelit_trace::span("cc.resume_envs");
+        let changed: BTreeSet<HoleName> = self
+            .omega
+            .holes()
+            .chain(omega.holes())
+            .filter(|&u| {
+                self.omega.get(u).map(|entry| &entry.pexpansion)
+                    != omega.get(u).map(|entry| &entry.pexpansion)
+            })
+            .collect();
+        self.omega = omega;
+        let mut stale = Vec::new();
+        for (&u, protos) in &self.proto_envs {
+            for (i, proto) in protos.iter().enumerate() {
+                if proto.mentions.iter().any(|h| changed.contains(h)) {
+                    let resumed = resume_sigma(&self.omega.fill_sigma(&proto.sigma), self.fuel)?;
+                    self.envs.get_mut(&u).expect("envs match proto_envs")[i] = resumed;
+                    stale.push((u, i));
+                }
+            }
+        }
+        if stale.is_empty() {
+            return Ok(());
+        }
+        // Drop only the re-resumed σ from the interned mirror. The term
+        // store and the splice-result cache are content-addressed, so they
+        // stay valid. The state moves into a fresh Arc first: a clone that
+        // shares the old one still holds the old σ, and is left a fresh
+        // lineage that it rebuilds lazily.
         let mut interned =
             mem::take(&mut *self.interned.lock().unwrap_or_else(PoisonError::into_inner));
-        interned.envs.clear();
+        for key in &stale {
+            interned.envs.remove(key);
+        }
         self.interned = Arc::new(Mutex::new(interned));
         Ok(())
     }
@@ -551,14 +581,15 @@ pub fn collect_with_fuel(
         let _span = livelit_trace::span("cc.expand");
         cc_expand(phi, program, &mut omega)?
     };
-    let (ty, _) = syn(&Ctx::empty(), &cc_exp)?;
-    let (d_cc, _, delta) = elab_syn(&Ctx::empty(), &cc_exp)?;
+    // Elaboration synthesizes τ and fails exactly when typing does
+    // (Theorem 4.1), so it is the one typing pass.
+    let (d_cc, ty, delta) = elab_syn(&Ctx::empty(), &cc_exp)?;
     let proto_result = {
         let _span = livelit_trace::span("cc.eval");
         eval_traced(&d_cc, fuel)?
     };
 
-    let envs = collect_envs(&proto_result, &omega, fuel)?;
+    let (proto_envs, envs) = collect_envs(&proto_result, &omega, fuel)?;
 
     Ok(Collection {
         cc_exp,
@@ -567,10 +598,26 @@ pub fn collect_with_fuel(
         omega,
         proto_result,
         envs,
+        proto_envs,
         fuel,
         interned: Arc::default(),
     })
 }
+
+/// One deduplicated proto-environment (Def. 4.5) and the livelit holes
+/// whose closures occur in it: the only Ω entries that filling it reads.
+#[derive(Debug, Clone)]
+struct ProtoEnv {
+    sigma: Sigma,
+    mentions: BTreeSet<HoleName>,
+}
+
+/// The collected proto-environments per livelit hole, and their resumed
+/// forms, index for index.
+type CollectedEnvs = (
+    BTreeMap<HoleName, Vec<ProtoEnv>>,
+    BTreeMap<HoleName, Vec<Sigma>>,
+);
 
 /// Proto-environment collection plus resumption (Defs. 4.5–4.8): gathers
 /// every livelit hole's environments from an evaluated cc-expansion, as a
@@ -578,34 +625,39 @@ pub fn collect_with_fuel(
 /// several positions — collapse to one), then fills with Ω and resumes
 /// each one in (hole, closure) order, emitting `ClosuresCollected` per
 /// hole before its resumptions. The first failure is the one returned.
-fn collect_envs(
-    proto_result: &IExp,
-    omega: &Omega,
-    fuel: u64,
-) -> Result<BTreeMap<HoleName, Vec<Sigma>>, EvalError> {
+fn collect_envs(proto_result: &IExp, omega: &Omega, fuel: u64) -> Result<CollectedEnvs, EvalError> {
     let _span = livelit_trace::span("cc.resume_envs");
-    let mut proto_envs: BTreeMap<HoleName, Vec<Sigma>> = BTreeMap::new();
+    let mut proto_envs: BTreeMap<HoleName, Vec<ProtoEnv>> = BTreeMap::new();
     for (u, sigma) in proto_result.hole_closures() {
         if omega.contains(u) {
             let entry = proto_envs.entry(u).or_default();
-            if !entry.iter().any(|s| s == sigma) {
-                entry.push(sigma.clone());
+            if !entry.iter().any(|p| p.sigma == *sigma) {
+                let mentions = sigma
+                    .iter()
+                    .flat_map(|(_, d)| d.hole_closures())
+                    .map(|(h, _)| h)
+                    .filter(|&h| omega.contains(h))
+                    .collect();
+                entry.push(ProtoEnv {
+                    sigma: sigma.clone(),
+                    mentions,
+                });
             }
         }
     }
     let mut envs = BTreeMap::new();
-    for (u, sigmas) in proto_envs {
+    for (&u, protos) in &proto_envs {
         livelit_trace::count(
             livelit_trace::Counter::ClosuresCollected,
-            sigmas.len() as u64,
+            protos.len() as u64,
         );
-        let resumed = sigmas
+        let resumed = protos
             .iter()
-            .map(|sigma| resume_sigma(&omega.fill_sigma(sigma), fuel))
+            .map(|p| resume_sigma(&omega.fill_sigma(&p.sigma), fuel))
             .collect::<Result<Vec<_>, _>>()?;
         envs.insert(u, resumed);
     }
-    Ok(envs)
+    Ok((proto_envs, envs))
 }
 
 /// [`collect_with_fuel`] with the default fuel budget.

@@ -13,11 +13,10 @@ use hazel_lang::eval::DEFAULT_FUEL;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::IExp;
-use hazel_lang::typ::Typ;
 use hazel_lang::unexpanded::UExp;
 use livelit_core::cc::{collect_with_fuel, CollectError, Collection};
 use livelit_core::def::LivelitCtx;
-use livelit_core::expansion::{expand_invocation, expand_typed, ExpandError};
+use livelit_core::expansion::{expand, expand_invocation, ExpandError};
 use livelit_core::live::{eval_splices, SpliceJob};
 use livelit_mvu::html::Html;
 use livelit_mvu::livelit::{Action, CmdError};
@@ -37,13 +36,14 @@ pub struct MarkedError {
 }
 
 /// Everything the editor needs to refresh the display after an edit.
+///
+/// The program's type is [`Collection::ty`]; its full expansion, which
+/// only inspection reads (Sec. 2.2's toggle), is built on demand by
+/// [`expansion`].
 #[derive(Debug, Clone)]
 pub struct EngineOutput {
-    /// The full expansion of the (marked) program.
-    pub expansion: EExp,
-    /// Its type.
-    pub ty: Typ,
-    /// The closure collection (cc-expansion, Ω, environments per livelit).
+    /// The closure collection (cc-expansion, its type, Ω, environments per
+    /// livelit).
     pub collection: Collection,
     /// The final program result, computed by fill-and-resume from the
     /// collection (Sec. 4.3.2) — not by re-evaluating from scratch.
@@ -176,13 +176,6 @@ pub(crate) fn run_with_fuel_in(
         mark_livelit_errors(&phi, &program)
     };
 
-    // Full expansion (for display/inspection, Sec. 2.2's toggle).
-    let (expansion, ty, _delta) = {
-        let _span = livelit_trace::span("engine.expand");
-        expand_typed(&phi, &hazel_lang::typing::Ctx::empty(), &marked)
-            .map_err(CollectError::Expand)?
-    };
-
     // Closure collection over the marked program.
     let collection = {
         let _span = livelit_trace::span("engine.collect");
@@ -202,8 +195,6 @@ pub(crate) fn run_with_fuel_in(
     }
 
     let mut output = EngineOutput {
-        expansion,
-        ty,
         collection,
         result,
         errors,
@@ -212,6 +203,18 @@ pub(crate) fn run_with_fuel_in(
     };
     recompute_views(registry, doc, &mut output, fuel, retainer);
     Ok(output)
+}
+
+/// The full expansion of the document's program (Sec. 2.2's expansion
+/// toggle), with failing livelit invocations marked as in [`run`].
+///
+/// # Errors
+///
+/// See [`ExpandError`]; a program that [`run`] accepts always expands.
+pub fn expansion(registry: &LivelitRegistry, doc: &Document) -> Result<EExp, ExpandError> {
+    let phi = registry.phi();
+    let (marked, _) = mark_livelit_errors(&phi, &doc.full_program());
+    expand(&phi, &marked)
 }
 
 /// Recomputes each livelit's view under its selected closure, in place.

@@ -19,7 +19,7 @@
 //! every run — the interner shares all unchanged subtrees, so an edit pays
 //! for the spine it changed, not for the program size.
 
-use hazel_lang::eval::DEFAULT_FUEL;
+use hazel_lang::eval::{EvalError, DEFAULT_FUEL};
 use hazel_lang::store::{TermId, TermStore};
 use hazel_lang::unexpanded::LivelitAp;
 use livelit_core::cc::{cc_expand, CollectError, Omega};
@@ -104,65 +104,38 @@ impl IncrementalEngine {
 
         if reusable {
             // Fast path: rebuild Ω from the current models (premises 1–5 of
-            // ELivelit per invocation), reuse the evaluated cc-expansion,
-            // and fill-and-resume.
+            // ELivelit per invocation), then continue the cached run from
+            // its evaluated cc-expansion, updating it in place.
             let phi = registry.phi();
             let mut omega = Omega::default();
             let omega_result = {
                 let _span = livelit_trace::span("engine.omega");
                 cc_expand(&phi, &program, &mut omega)
             };
-            match omega_result {
-                Ok(_) => {
-                    // The displayed full expansion also depends on models;
-                    // recompute it (cheap relative to evaluation — see B1).
-                    let (expansion, ty, _) = {
-                        let _span = livelit_trace::span("engine.expand");
-                        livelit_core::expansion::expand_typed(
-                            &phi,
-                            &hazel_lang::typing::Ctx::empty(),
-                            &program,
-                        )
-                        .map_err(CollectError::Expand)?
-                    };
-                    let mut output = self.cached.as_ref().expect("checked above").output.clone();
-                    output.expansion = expansion;
-                    output.ty = ty;
-                    output.collection.omega = omega;
-                    // Re-resume environments under the fresh Ω.
-                    let resume_span = livelit_trace::span("engine.resume");
-                    match output.collection.refresh_after_omega_change() {
-                        Ok(()) => {}
-                        Err(e) => return Err(EngineError::Collect(e.into())),
-                    }
-                    let resumed = output.collection.resume_result();
-                    drop(resume_span);
-                    match resumed {
-                        Ok(result) => {
-                            output.result = result;
-                            // Views depend on models and environments;
-                            // recompute them (through the retainer, so
-                            // unchanged instances are memo hits).
-                            crate::engine::recompute_views(
-                                registry,
-                                doc,
-                                &mut output,
-                                self.fuel,
-                                &mut self.retainer,
-                            );
-                            self.cached.as_mut().expect("checked above").output = output;
-                            self.incremental_hits += 1;
-                            livelit_trace::count(livelit_trace::Counter::IncrementalFastPaths, 1);
-                            return Ok(&self.cached.as_ref().expect("set above").output);
-                        }
-                        Err(e) => return Err(EngineError::Collect(CollectError::Eval(e))),
-                    }
+            // An error means a model change broke expansion (e.g. an
+            // ill-typed model): fall through to the full path, which marks
+            // the error.
+            if omega_result.is_ok() {
+                let output = &mut self.cached.as_mut().expect("checked above").output;
+                if let Err(e) = fill_and_resume(output, omega) {
+                    // The cached run is partly updated: drop it, so the
+                    // next run takes the full path.
+                    self.cached = None;
+                    return Err(EngineError::Collect(CollectError::Eval(e)));
                 }
-                Err(_) => {
-                    // A model change broke expansion (e.g. an ill-typed
-                    // model): fall through to the full path, which marks
-                    // the error.
-                }
+                // Views depend on models and environments; recompute them
+                // (through the retainer, so unchanged instances are memo
+                // hits).
+                crate::engine::recompute_views(
+                    registry,
+                    doc,
+                    output,
+                    self.fuel,
+                    &mut self.retainer,
+                );
+                self.incremental_hits += 1;
+                livelit_trace::count(livelit_trace::Counter::IncrementalFastPaths, 1);
+                return Ok(&self.cached.as_ref().expect("kept above").output);
             }
         }
 
@@ -205,6 +178,16 @@ impl Default for IncrementalEngine {
     fn default() -> IncrementalEngine {
         IncrementalEngine::new()
     }
+}
+
+/// Installs the fresh Ω in `output`'s collection, re-resumes the
+/// environments it reaches, and recomputes the program result by
+/// fill-and-resume (Sec. 4.3.2).
+fn fill_and_resume(output: &mut EngineOutput, omega: Omega) -> Result<(), EvalError> {
+    let _span = livelit_trace::span("engine.resume");
+    output.collection.refresh_after_omega_change(omega)?;
+    output.result = output.collection.resume_result()?;
+    Ok(())
 }
 
 /// Verifies an invocation's premises without building anything — used by

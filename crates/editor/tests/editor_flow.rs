@@ -112,7 +112,7 @@ fn fill_hole_interact_and_evaluate() {
     let out = run(&reg, &doc).unwrap();
     assert_eq!(out.result, IExp::Int(5));
     assert!(out.errors.is_empty());
-    assert_eq!(out.ty, Typ::Int);
+    assert_eq!(out.collection.ty, Typ::Int);
 
     // Click the +10 button twice; the model — and therefore the program
     // result — follows.
@@ -246,13 +246,13 @@ fn view_renders_to_character_grid() {
 #[test]
 fn expansion_inspection_toggle() {
     // Sec. 2.2: "The client can inspect this expansion in Hazel via a
-    // toggle" — the engine output carries the full expansion.
+    // toggle" — the engine builds the full expansion on demand.
     let reg = registry();
     let mut doc = Document::new(&reg, vec![], program_with_hole()).unwrap();
     doc.fill_hole_with_livelit(&reg, HoleName(0), "$percent", vec![])
         .unwrap();
-    let out = run(&reg, &doc).unwrap();
-    let printed = hazel_lang::pretty::print_eexp(&out.expansion, 100);
+    let expansion = hazel_editor::expansion(&reg, &doc).unwrap();
+    let printed = hazel_lang::pretty::print_eexp(&expansion, 100);
     // The expansion shows the parameterized expansion applied to 0 and 100.
     assert!(printed.contains("fun min : Int"), "expansion: {printed}");
 }

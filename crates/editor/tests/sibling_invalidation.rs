@@ -47,11 +47,11 @@ fn model_edit_does_not_invalidate_sibling_invocations() {
         "only the edited invocation re-runs the ELivelit premises"
     );
     assert!(
-        hits >= 4,
+        hits >= 2,
         "sibling invocations are served from the cache (got {hits} hits)"
     );
     // Every invocation still goes through the six-premise judgement
-    // *accounting* (the counter is per-invocation, cached or not), across
-    // both the cc pass and the displayed-expansion pass.
-    assert_eq!(stats.counter(Counter::ExpansionsPerformed), 6);
+    // *accounting* (the counter is per-invocation, cached or not), in the
+    // one expansion pass that rebuilds Ω.
+    assert_eq!(stats.counter(Counter::ExpansionsPerformed), 3);
 }

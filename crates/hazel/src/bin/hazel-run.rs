@@ -77,13 +77,20 @@ fn main() -> ExitCode {
         println!("{}", hazel::editor::render_dashboard(&registry, &doc, &out));
     }
     if show_expansion {
+        let expansion = match hazel::editor::expansion(&registry, &doc) {
+            Ok(expansion) => expansion,
+            Err(e) => {
+                eprintln!("hazel-run: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("== expansion ==");
-        println!("{}\n", hazel::lang::pretty::print_eexp(&out.expansion, 80));
+        println!("{}\n", hazel::lang::pretty::print_eexp(&expansion, 80));
     }
     println!(
         "{} : {}",
         hazel::lang::pretty::print_iexp(&out.result, 80),
-        out.ty
+        out.collection.ty
     );
     ExitCode::SUCCESS
 }

@@ -108,7 +108,12 @@ pub fn report_machine_counters(c: crate::machine::MachineCounters) {
 /// substitutions captured in the environment are realized". Unlike
 /// substitution, hole filling is not capture-avoiding; in the livelit
 /// setting the filled term is a closed parameterized expansion, so filling
-/// amounts to syntactic replacement plus environment application.
+/// amounts to syntactic replacement.
+///
+/// A closed fill term replaces its closure unchanged, without filling or
+/// applying the closure's σ: substitution renames a binder only where a
+/// substitution applies, so applying any σ to a closed term is the
+/// identity.
 ///
 /// Fill terms must not themselves contain holes that `lookup` fills; then
 /// one walk equals filling the holes one at a time, in any order.
@@ -118,6 +123,7 @@ pub fn fill<'f>(d: &IExp, lookup: &impl Fn(HoleName) -> Option<&'f IExp>) -> IEx
     let go_sigma = |sigma: &Sigma| sigma.map_codomain(|e| fill(e, lookup));
     match d {
         EmptyHole(u, sigma) => match lookup(*u) {
+            Some(d_fill) if d_fill.is_closed() => d_fill.clone(),
             Some(d_fill) => go_sigma(sigma).apply(d_fill),
             None => EmptyHole(*u, go_sigma(sigma)),
         },

@@ -214,10 +214,16 @@ impl TermStore {
     pub fn report_trace_counters(&mut self) {
         use livelit_trace::Counter;
         let d = self.take_counter_deltas();
-        livelit_trace::count(Counter::InternerHits, d.interner_hits);
-        livelit_trace::count(Counter::InternerMisses, d.interner_misses);
-        livelit_trace::count(Counter::SubstMemoHits, d.subst_memo_hits);
-        livelit_trace::count(Counter::SubstMemoMisses, d.subst_memo_misses);
+        for (counter, delta) in [
+            (Counter::InternerHits, d.interner_hits),
+            (Counter::InternerMisses, d.interner_misses),
+            (Counter::SubstMemoHits, d.subst_memo_hits),
+            (Counter::SubstMemoMisses, d.subst_memo_misses),
+        ] {
+            if delta > 0 {
+                livelit_trace::count(counter, delta);
+            }
+        }
     }
 
     /// The node for `t`.

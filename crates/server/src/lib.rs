@@ -202,6 +202,9 @@ impl SessionStats {
 struct AckedView {
     gen: u64,
     view: Arc<Html<Action>>,
+    /// The length of `view`'s full JSON encoding, so a render whose view
+    /// is still this `Arc` adds it to `full_bytes` without re-encoding.
+    full_len: u64,
 }
 
 /// One open document session.
@@ -759,8 +762,15 @@ impl Server {
         let mut full_bytes: u64 = 0;
         let empty_patches: Arc<Vec<Patch<Action>>> = Arc::new(Vec::new());
         for (hole, new_view) in &views {
-            let full_json = wire::html_json(new_view);
-            let full_len = full_json.to_string().len() as u64;
+            // Encode only a view that changed since the client acked it.
+            let (full_json, full_len) = match session.acked.get(hole) {
+                Some(acked) if Arc::ptr_eq(&acked.view, new_view) => (None, acked.full_len),
+                _ => {
+                    let json = wire::html_json(new_view);
+                    let len = json.to_string().len() as u64;
+                    (Some(json), len)
+                }
+            };
             full_bytes += full_len;
             // Generation protocol: the engine already diffed this hole's
             // view against its retained snapshot, so the reply is derived
@@ -812,7 +822,10 @@ impl Server {
                     view_payloads.push(obj([
                         ("hole", uint(hole.0)),
                         ("mode", jstr("full")),
-                        ("view", full_json),
+                        (
+                            "view",
+                            full_json.unwrap_or_else(|| wire::html_json(new_view)),
+                        ),
                     ]));
                 }
             }
@@ -821,6 +834,7 @@ impl Server {
                 AckedView {
                     gen: delta.map(|d| d.gen).unwrap_or(0),
                     view: Arc::clone(new_view),
+                    full_len,
                 },
             );
         }

@@ -1,15 +1,17 @@
-//! Production metrics: lock-free log2 latency histograms, per-phase
+//! Production metrics: lock-free log-linear latency histograms, per-phase
 //! attribution of span durations, and slow-request trace capture.
 //!
 //! The trace layer (spans + counters) answers "what happened on this run";
 //! this module answers "what is the p99 right now, and which phase is
 //! eating it" for a long-running `hazel serve` process:
 //!
-//! - [`Histogram`]: 64 fixed log2 buckets of [`AtomicU64`]s. Recording a
-//!   sample is one `leading_zeros` plus a handful of relaxed atomic
-//!   increments — no allocation, no lock — so it is safe on the hottest
-//!   path and shareable across threads. Snapshots are mergeable and yield
-//!   p50/p90/p99 within one bucket of exact, and the max exactly.
+//! - [`Histogram`]: fixed log-linear buckets of [`AtomicU64`]s, eight
+//!   linear sub-buckets per power of two in the HdrHistogram style.
+//!   Recording a sample is one `leading_zeros`, a shift, and a handful of
+//!   relaxed atomic increments — no allocation, no lock — so it is safe on
+//!   the hottest path and shareable across threads. Snapshots are
+//!   mergeable and yield p50/p90/p99 within 12.5% of exact, and the max
+//!   exactly.
 //! - [`Phase`]: the small static taxonomy every hot pipeline span maps
 //!   into (parse / elaborate / typecheck / collect / eval_splices /
 //!   render_diff / analyze). [`Phase::of_span`] is the single source of
@@ -37,10 +39,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::event::{Counter, Event, SpanId};
 use crate::sink::Sink;
 
-/// Number of log2 buckets in a [`Histogram`]. Bucket 0 holds the sample
-/// value 0; bucket `i` (for `1 <= i < 63`) holds `[2^(i-1), 2^i)`; the
-/// last bucket holds everything from `2^62` up.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+/// Linear sub-buckets per power of two (as a shift: `2^3 = 8`).
+const SUB_BUCKET_BITS: u32 = 3;
+
+/// Linear sub-buckets per power of two.
+const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
+
+/// Number of buckets in a [`Histogram`]. Buckets `0..8` hold the sample
+/// values `0..8` exactly. Above that, each power of two `[2^e, 2^(e+1))`
+/// (`3 <= e <= 63`) splits into eight equal sub-buckets of width
+/// `2^(e-3)`, so a bucket's upper bound exceeds any sample in it by less
+/// than 12.5%. The last bucket ends at `u64::MAX`.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BUCKET_BITS as usize + 1);
 
 /// The static phase taxonomy for per-phase latency attribution.
 ///
@@ -101,7 +111,7 @@ impl Phase {
         Some(match name {
             "parse" | "parse.module" => Phase::Parse,
             "elab.syn" | "elab.ana" => Phase::Elaborate,
-            "engine.mark" | "engine.expand" | "expand.typed" => Phase::Typecheck,
+            "engine.mark" | "expand.typed" => Phase::Typecheck,
             "engine.collect" | "engine.omega" | "engine.resume" | "cc.collect" | "cc.expand"
             | "cc.eval" | "cc.resume_result" | "cc.resume_envs" => Phase::Collect,
             "live.eval_splice" | "live.eval_batch" => Phase::EvalSplices,
@@ -121,26 +131,30 @@ impl std::fmt::Display for Phase {
 /// Returns the bucket index for a nanosecond sample.
 #[inline]
 fn bucket_index(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        (64 - ns.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1)
+    if ns < SUB_BUCKETS as u64 {
+        return ns as usize;
     }
+    // `ns` lies in `[2^e, 2^(e+1))` with `e >= 3`; its top four bits pick
+    // the sub-bucket (the leading one plus three linear bits).
+    let e = 63 - ns.leading_zeros();
+    let shift = e - SUB_BUCKET_BITS;
+    shift as usize * SUB_BUCKETS + (ns >> shift) as usize
 }
 
 /// The inclusive upper bound of bucket `i` (`u64::MAX` for the last).
 fn bucket_upper(i: usize) -> u64 {
-    if i >= HISTOGRAM_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
+    if i < SUB_BUCKETS {
+        return i as u64;
     }
+    let shift = i / SUB_BUCKETS - 1;
+    let top = (i % SUB_BUCKETS + SUB_BUCKETS + 1) as u128;
+    u64::try_from((top << shift) - 1).unwrap_or(u64::MAX)
 }
 
-/// A fixed-bucket log2 latency histogram with lock-free recording.
+/// A fixed-bucket log-linear latency histogram with lock-free recording.
 ///
 /// The hot path ([`Histogram::record`]) is allocation-free: a bucket index
-/// from `leading_zeros` and five relaxed atomic updates. Relaxed ordering
+/// from `leading_zeros` and a shift, and five relaxed atomic updates. Relaxed ordering
 /// is sound because every cell is independently additive (min/max use
 /// `fetch_min`/`fetch_max`); a [`HistogramSnapshot`] taken concurrently
 /// with writers may be mid-request torn by a few samples, which is
@@ -245,9 +259,9 @@ impl HistogramSnapshot {
 
     /// The `q`-quantile in nanoseconds, `0.0 <= q <= 1.0`. Returns the
     /// inclusive upper bound of the bucket containing the rank-`ceil(q·n)`
-    /// sample, clamped to the exact observed max — so the estimate is
-    /// within one log2 bucket of the exact quantile, and `quantile(1.0)`
-    /// is the exact max. Returns 0 when empty.
+    /// sample, clamped to the exact observed max — so the estimate is at
+    /// least the exact quantile and less than 12.5% above it, and
+    /// `quantile(1.0)` is the exact max. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -700,16 +714,26 @@ mod tests {
 
     #[test]
     fn bucket_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
+        for ns in 0..8 {
+            assert_eq!(bucket_index(ns), ns as usize);
+            assert_eq!(bucket_upper(ns as usize), ns);
+        }
+        // [8, 16) splits into unit-wide sub-buckets, [16, 32) into
+        // two-wide ones.
+        assert_eq!(bucket_index(8), 8);
+        assert_eq!(bucket_index(15), 15);
+        assert_eq!(bucket_index(16), 16);
+        assert_eq!(bucket_index(17), 16);
+        assert_eq!(bucket_upper(16), 17);
         assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_upper(0), 0);
-        assert_eq!(bucket_upper(1), 1);
-        assert_eq!(bucket_upper(2), 3);
         assert_eq!(bucket_upper(HISTOGRAM_BUCKETS - 1), u64::MAX);
+        // Buckets tile the range: each starts right after the previous
+        // one ends, and every sample lands in the bucket bounding it.
+        for i in 1..HISTOGRAM_BUCKETS {
+            let lo = bucket_upper(i - 1) + 1;
+            assert_eq!(bucket_index(lo), i);
+            assert_eq!(bucket_index(bucket_upper(i)), i);
+        }
     }
 
     #[test]
@@ -724,8 +748,8 @@ mod tests {
         assert_eq!(s.max, 1000);
         assert_eq!(s.sum, 1191);
         assert_eq!(s.quantile(1.0), 1000);
-        // p50 of [5, 9, 77, 100, 1000] is 77; its bucket is [64, 127].
-        assert!(s.p50() >= 77 && s.p50() <= 127, "p50 = {}", s.p50());
+        // p50 of [5, 9, 77, 100, 1000] is 77; its bucket is [72, 79].
+        assert_eq!(s.p50(), 79);
     }
 
     #[test]

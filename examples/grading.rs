@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The Sec. 2.2 expansion of the whole program.
     println!("\n== expansion of the full program (Sec. 2.2) ==");
-    let text = print_eexp(&out.expansion, 100);
+    let text = print_eexp(&hazel::editor::expansion(&registry, &doc)?, 100);
     for line in text.lines().take(14) {
         println!("{line}");
     }

@@ -108,7 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The expansion remains abstract in url (context independence): it
     // never mentions a concrete photo.
-    let expansion_text = hazel_lang::pretty::print_eexp(&out.expansion, 2_000);
+    let expansion_text =
+        hazel_lang::pretty::print_eexp(&hazel::editor::expansion(&registry, &doc)?, 2_000);
     assert!(expansion_text.contains("fun url : Str"));
     println!("\nexpansion stays abstract: `fun url : Str -> ...` applied per photo ✓");
     Ok(())

@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Run the live pipeline: expansion, closure collection, result.
     let out = hazel::editor::run(&registry, &doc)?;
     println!("== expansion (the Sec. 2.2 toggle) ==");
-    println!("{}\n", print_eexp(&out.expansion, 72));
+    let expansion = hazel::editor::expansion(&registry, &doc)?;
+    println!("{}\n", print_eexp(&expansion, 72));
     println!("== program result ==");
     println!("{}\n", print_iexp(&out.result, 72));
 

@@ -142,6 +142,25 @@ pub fn compute_views_from_scratch(
     (views, view_errors)
 }
 
+/// The B17 and perfbench `drag` document: `n` independent definitions,
+/// each spliced into its own `$slider`, summed. Every slider's σ holds all
+/// `n` definitions, and no σ mentions a livelit hole, so a drag on one
+/// slider changes one view and no environment.
+pub fn multi_slider_doc(n: usize) -> (LivelitRegistry, Document) {
+    let mut registry = LivelitRegistry::new();
+    hazel::std::register_all(&mut registry);
+    let mut src = String::new();
+    for i in 0..n {
+        src.push_str(&format!("def d{i} : Int = {} ;;\n", i + 1));
+    }
+    let sum = (0..n)
+        .map(|i| format!("$slider@{i}{{10}}(0 : Int; d{i} : Int)"))
+        .collect::<Vec<_>>()
+        .join(" + ");
+    src.push_str(&sum);
+    hazel::editor::open_module(registry, &src).expect("module")
+}
+
 /// The test livelit context: simple livelits at several types, used to
 /// pepper generated programs with invocations.
 ///

@@ -1,6 +1,6 @@
 //! Language-level properties beyond the headline metatheorems: evaluation
-//! idempotence, type/print round-trips, value-typing agreement, parser
-//! robustness, and layout discipline.
+//! idempotence, type/print round-trips, value-typing agreement, typing vs.
+//! elaboration agreement, parser robustness, and layout discipline.
 //!
 //! All properties run over explicit seed ranges through the deterministic
 //! [`integration_tests::XorShift`] generator; a richer shrinking-capable
@@ -10,6 +10,7 @@ use hazel::lang::elab::elab_syn;
 use hazel::lang::internal_typing::syn_internal;
 use hazel::lang::parse::{parse_typ, parse_uexp};
 use hazel::lang::pretty::{print_uexp, Doc};
+use hazel::lang::typing::syn;
 use hazel::prelude::*;
 use integration_tests::spec::Evaluator;
 use integration_tests::{on_big_stack, test_phi, Gen, GenConfig, XorShift};
@@ -71,6 +72,51 @@ fn value_typing_agrees_with_internal_typing() {
             assert_eq!(internal, ty, "seed {seed}");
         }
     }
+}
+
+/// Elaboration types exactly like typing: on random programs, well-typed or
+/// not, `elab_syn` synthesizes the type `syn` does and fails with the same
+/// error — so closure collection can take τ from its one elaboration pass.
+#[test]
+fn elaboration_agrees_with_typing() {
+    let phi = test_phi();
+    let mut ill_typed = 0;
+    for seed in 0..CASES {
+        let mut g = Gen::with_config(
+            seed,
+            GenConfig {
+                livelit_pct: 0,
+                ..GenConfig::default()
+            },
+        );
+        let (program, _) = g.program(&phi);
+        // Replace one random subterm by an unbound variable or by a closed
+        // term of a random type, which usually breaks typing.
+        let mut nodes = 0u64;
+        let _ = program.map(&mut |e| {
+            nodes += 1;
+            e
+        });
+        let target = 1 + XorShift::new(seed ^ 0xE1AB).below(nodes);
+        let mut at = 0u64;
+        let mutated = program.map(&mut |e| {
+            at += 1;
+            if at != target {
+                e
+            } else if seed % 3 == 0 {
+                UExp::Var(Var::new("unbound"))
+            } else {
+                let ty = g.typ(1);
+                g.uexp(&phi, &Ctx::empty(), &ty, 2)
+            }
+        });
+        let e = mutated.to_eexp().expect("no livelits");
+        let typed = syn(&Ctx::empty(), &e).map(|(ty, _)| ty);
+        let elaborated = elab_syn(&Ctx::empty(), &e).map(|(_, ty, _)| ty);
+        ill_typed += u32::from(typed.is_err());
+        assert_eq!(elaborated, typed, "seed {seed}: {mutated}");
+    }
+    assert!(ill_typed >= CASES as u32 / 4, "only {ill_typed} ill-typed");
 }
 
 /// The parser never panics on arbitrary printable garbage.

@@ -101,7 +101,7 @@ fn every_prefix_of_the_session_is_meaningful() {
         // Every prefix state types and evaluates.
         let out = hazel::editor::run(&registry, &doc)
             .unwrap_or_else(|e| panic!("prefix {prefix_len}: engine failed: {e}"));
-        assert_eq!(out.ty, Typ::Str, "prefix {prefix_len}");
+        assert_eq!(out.collection.ty, Typ::Str, "prefix {prefix_len}");
         assert!(
             hazel::lang::final_form::is_final(&out.result),
             "prefix {prefix_len}: non-final result"

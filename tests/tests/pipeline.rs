@@ -165,8 +165,8 @@ fn sec_2_2_expansion_shape() {
     )
     .unwrap();
 
-    let out = run(&registry, &doc).unwrap();
-    let text = hazel::lang::pretty::print_eexp(&out.expansion, 10_000);
+    let expansion = hazel::editor::expansion(&registry, &doc).unwrap();
+    let text = hazel::lang::pretty::print_eexp(&expansion, 10_000);
     // The client's expression appears verbatim as a function argument.
     assert!(text.contains("q1_max +. 24.0 +. 20.0"), "{text}");
     // The expansion abstracts cells as function parameters (capture

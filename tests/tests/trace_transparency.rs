@@ -85,7 +85,13 @@ fn full_editor_pipeline_is_bit_identical_with_tracing_enabled() {
     let doc = Document::new(&registry, vec![], program).unwrap();
     assert_transparent("editor::run", || {
         hazel::editor::run(&registry, &doc)
-            .map(|out| (out.result.clone(), out.ty.clone(), out.errors.len()))
+            .map(|out| {
+                (
+                    out.result.clone(),
+                    out.collection.ty.clone(),
+                    out.errors.len(),
+                )
+            })
             .map_err(|e| e.to_string())
     });
 }
