@@ -3,6 +3,7 @@
 use hazel_lang::typing::Ctx;
 use hazel_lang::unexpanded::{LivelitAp, UExp};
 use livelit_core::def::LivelitCtx;
+use livelit_core::expansion::expand_invocation;
 
 use crate::diagnostic::{Diagnostic, Report};
 use crate::passes;
@@ -93,13 +94,16 @@ impl std::fmt::Debug for Analyzer {
 pub fn analyze_invocation(phi: &LivelitCtx, ap: &LivelitAp) -> Vec<Diagnostic> {
     let _span = livelit_trace::span("analysis.invocation");
     let mut out = Vec::new();
-    {
+    // One expansion serves both hygiene and splice discipline.
+    let expansion = {
         let _span = livelit_trace::span("analysis.pass.hygiene");
-        out.extend(passes::hygiene::check_invocation(phi, ap));
-    }
+        let expansion = expand_invocation(phi, ap);
+        out.extend(passes::hygiene::check_invocation(ap, &expansion));
+        expansion
+    };
     {
         let _span = livelit_trace::span("analysis.pass.splice-discipline");
-        out.extend(passes::splices::check_invocation(phi, ap));
+        out.extend(passes::splices::check_invocation(ap, &expansion));
     }
     {
         let _span = livelit_trace::span("analysis.pass.determinism");

@@ -21,9 +21,6 @@
 //! - [`holectx`] — the `LL07xx` hole-context facts: liveness flows
 //!   *through* holes (a binding in scope at a hole may gain uses when the
 //!   hole is filled), and holes in unreachable code are flagged vacuous.
-//! - [`splice_graph`] — the splice-reference graph, built on the same
-//!   store facts, from which the `LL0101`/`LL0102` splice-discipline
-//!   lints are derived.
 //! - [`analyzer`] — [`analyzer::FlowAnalyzer`]: the stateful,
 //!   per-definition incremental driver with dirty-set invalidation.
 
@@ -33,7 +30,6 @@ pub mod facts;
 pub mod holectx;
 pub mod liveness;
 pub mod purity;
-pub mod splice_graph;
 
 pub use analyzer::{FlowAnalyzer, FlowUnit};
 pub use engine::{FactMemo, Fixpoint, Lattice, SolveStats};

@@ -6,11 +6,13 @@
 //! holes no registered livelit can fill (by expansion type, Sec. 2.3), and
 //! notes invocations that will be marked as non-empty holes (Sec. 5.1).
 
-use livelit_core::expansion::expand_typed;
+use std::collections::BTreeSet;
+
+use hazel_lang::typing::syn;
+use livelit_core::expansion::expand_marked;
 
 use crate::analyzer::{AnalysisInput, Pass};
 use crate::diagnostic::{Code, Diagnostic, Location, Severity};
-use crate::passes::hygiene::neutralize_failed_invocations;
 
 /// How many in-scope bindings a hole-inventory note lists before eliding.
 const MAX_CTX_NOTES: usize = 8;
@@ -27,8 +29,9 @@ impl Pass for HoleAudit {
         let mut out = Vec::new();
 
         // Stay live in the face of failing invocations, exactly as the
-        // editor does: replace them with ascribed holes and audit the rest.
-        let (neutralized, failed) = neutralize_failed_invocations(input.phi, input.program);
+        // editor does: mark them as holes and audit the rest.
+        let (expanded, marked) = expand_marked(input.phi, input.program);
+        let failed: BTreeSet<_> = marked.iter().map(|m| m.hole).collect();
         for u in &failed {
             out.push(Diagnostic::new(
                 Code::NonEmptyHole,
@@ -40,18 +43,18 @@ impl Pass for HoleAudit {
             ));
         }
 
-        // Holes consumed by (successful) livelit invocations are filled;
-        // the ones left in Δ after expansion are genuinely open.
-        let livelit_holes: std::collections::BTreeSet<_> = neutralized
+        // Holes consumed by livelit invocations are filled or marked; the
+        // ones left in Δ after expansion are genuinely open.
+        let livelit_holes: BTreeSet<_> = input
+            .program
             .livelit_aps()
             .iter()
             .map(|ap| ap.hole)
-            .chain(failed.iter().copied())
             .collect();
 
-        let Ok((_, _, delta)) = expand_typed(input.phi, input.ctx, &neutralized) else {
+        let Ok((_, delta)) = syn(input.ctx, &expanded) else {
             // The program does not type check even with failures
-            // neutralized; the hygiene pass reports why.
+            // marked; the hygiene pass reports why.
             return out;
         };
 

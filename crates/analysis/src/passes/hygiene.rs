@@ -6,9 +6,8 @@
 //! checked so splice type errors under the invocation-site Γ (premise 6)
 //! surface too.
 
-use hazel_lang::unexpanded::{LivelitAp, UExp};
-use livelit_core::def::LivelitCtx;
-use livelit_core::expansion::{expand_invocation, ExpandError};
+use hazel_lang::unexpanded::LivelitAp;
+use livelit_core::expansion::{expand_invocation, ExpandError, PExpansion};
 
 use crate::analyzer::{AnalysisInput, Pass};
 use crate::diagnostic::{Code, Diagnostic, Location, Severity};
@@ -25,7 +24,7 @@ impl Pass for Hygiene {
         let mut out = Vec::new();
         let mut all_ok = true;
         for ap in input.program.livelit_aps() {
-            let found = check_invocation(input.phi, ap);
+            let found = check_invocation(ap, &expand_invocation(input.phi, ap));
             all_ok &= found.is_empty();
             out.extend(found);
         }
@@ -48,11 +47,15 @@ impl Pass for Hygiene {
     }
 }
 
-/// Checks premises 1–5 of `ELivelit` for one invocation.
-pub fn check_invocation(phi: &LivelitCtx, ap: &LivelitAp) -> Vec<Diagnostic> {
-    match expand_invocation(phi, ap) {
+/// Reports the failure, if any, of premises 1–5 of `ELivelit` for one
+/// invocation, given their outcome.
+pub fn check_invocation(
+    ap: &LivelitAp,
+    expansion: &Result<PExpansion, ExpandError>,
+) -> Vec<Diagnostic> {
+    match expansion {
         Ok(_) => Vec::new(),
-        Err(e) => vec![diagnose_expand_error(ap, &e)],
+        Err(e) => vec![diagnose_expand_error(ap, e)],
     }
 }
 
@@ -152,32 +155,4 @@ pub fn diagnose_expand_error(ap: &LivelitAp, error: &ExpandError) -> Diagnostic 
             format!("splice does not type check: {e}"),
         ),
     }
-}
-
-/// Replaces livelit invocations that fail expansion with ascribed empty
-/// holes, returning the neutralized program and the affected hole names.
-///
-/// This is how the editor stays live (Sec. 5.1): failed invocations become
-/// (non-empty) holes at their expansion type, and the rest of the program
-/// keeps its meaning. Invocations of unbound livelits have no known
-/// expansion type and become bare holes.
-pub fn neutralize_failed_invocations(
-    phi: &LivelitCtx,
-    program: &UExp,
-) -> (UExp, Vec<hazel_lang::ident::HoleName>) {
-    let mut failed = Vec::new();
-    let neutralized = program.map(&mut |e| match e {
-        UExp::Livelit(ap) if expand_invocation(phi, &ap).is_err() => {
-            failed.push(ap.hole);
-            let hole = UExp::EmptyHole(ap.hole);
-            match phi.get(&ap.name) {
-                Some(def) => UExp::Asc(Box::new(hole), def.expansion_ty.clone()),
-                None => hole,
-            }
-        }
-        other => other,
-    });
-    failed.sort_unstable();
-    failed.dedup();
-    (neutralized, failed)
 }

@@ -9,10 +9,10 @@
 use hazel_lang::external::EExp;
 use hazel_lang::ident::Var;
 use hazel_lang::unexpanded::LivelitAp;
-use livelit_core::def::LivelitCtx;
+use livelit_core::expansion::{expand_invocation, ExpandError, PExpansion};
 
 use crate::analyzer::{AnalysisInput, Pass};
-use crate::diagnostic::Diagnostic;
+use crate::diagnostic::{Code, Diagnostic, Location, Severity};
 
 /// The splice-discipline pass.
 pub struct SpliceDiscipline;
@@ -27,27 +27,85 @@ impl Pass for SpliceDiscipline {
             .program
             .livelit_aps()
             .into_iter()
-            .flat_map(|ap| check_invocation(input.phi, ap))
+            .flat_map(|ap| check_invocation(ap, &expand_invocation(input.phi, ap)))
             .collect()
     }
 }
 
-/// Checks the evaluated-once discipline for one invocation.
+/// Checks the evaluated-once discipline for one invocation, given its
+/// expansion (premises 1–5 of `ELivelit`), producing the `LL0101`/`LL0102`
+/// diagnostics. A failed expansion has nothing to check.
+pub fn check_invocation(
+    ap: &LivelitAp,
+    expansion: &Result<PExpansion, ExpandError>,
+) -> Vec<Diagnostic> {
+    let Ok(pe) = expansion else {
+        return Vec::new();
+    };
+    let name = &ap.name;
+    let mut out = Vec::new();
+    for (index, count) in splice_reference_counts(&pe.pexpansion, ap.splices.len())
+        .into_iter()
+        .enumerate()
+    {
+        let location = Location::Splice {
+            hole: ap.hole,
+            index,
+        };
+        if count == 0 {
+            out.push(
+                Diagnostic::new(
+                    Code::DeadSplice,
+                    Severity::Warning,
+                    location,
+                    format!(
+                        "splice {index} of {name} is never referenced by the expansion; \
+                         edits to it cannot affect the result"
+                    ),
+                )
+                .with_note("splices are evaluated exactly once (Sec. 3.2.3)".to_string()),
+            );
+        } else if count > 1 {
+            out.push(
+                Diagnostic::new(
+                    Code::DuplicatedSplice,
+                    Severity::Warning,
+                    location,
+                    format!(
+                        "splice {index} of {name} is referenced {count} times by the \
+                         expansion; splices should be referenced exactly once"
+                    ),
+                )
+                .with_note("splices are evaluated exactly once (Sec. 3.2.3)".to_string()),
+            );
+        }
+    }
+    out
+}
+
+/// Per-splice reference counts for an invocation with `splices` splices,
+/// in splice order.
 ///
-/// The reference counts are read off the splice-reference graph built
-/// over the hash-consed expansion skeleton
-/// ([`crate::flow::splice_graph`]): all splices of an invocation are
-/// classified by one memoized bottom-up pass instead of a per-splice
-/// recursive walk.
-pub fn check_invocation(phi: &LivelitCtx, ap: &LivelitAp) -> Vec<Diagnostic> {
-    crate::flow::splice_graph::check_invocation(phi, ap)
+/// The parameterized expansion has curried type `{τi}^(i<n) → τ_expand`;
+/// when it is syntactically a chain of lambdas, each binder stands for
+/// one splice and its free-occurrence count in the remaining body is
+/// that splice's reference count. The result covers the peeled prefix
+/// only: an expansion that is not a syntactic lambda chain (e.g. one
+/// produced by an application) stops the peel.
+fn splice_reference_counts(pexpansion: &EExp, splices: usize) -> Vec<usize> {
+    let mut counts = Vec::with_capacity(splices);
+    let mut term = pexpansion;
+    for _ in 0..splices {
+        let EExp::Lam(x, _, body) = term else {
+            break;
+        };
+        counts.push(count_free_occurrences(body, x));
+        term = body;
+    }
+    counts
 }
 
 /// Counts free occurrences of `x` in `e`, respecting shadowing.
-///
-/// Retained as the independent reference implementation the
-/// splice-graph counts are cross-checked against in tests.
-#[cfg_attr(not(test), allow(dead_code))]
 fn count_free_occurrences(e: &EExp, x: &Var) -> usize {
     use EExp::*;
     match e {

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use hazel_lang::elab::elab_syn;
 use hazel_lang::eval::{eval_traced, fill, resume_sigma, EvalError, DEFAULT_FUEL};
-use hazel_lang::external::{CaseArm, EExp};
+use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
 use hazel_lang::store::{TermId, TermStore, VarId};
@@ -41,24 +41,21 @@ use hazel_lang::typing::{Ctx, Delta, TypeError};
 use hazel_lang::unexpanded::UExp;
 
 use crate::def::LivelitCtx;
-use crate::expansion::{expand, expand_invocation_elab, ExpandError};
+use crate::expansion::{expand, ExpandError, MarkedError, Walk};
 
 /// The cc-context Ω: maps each livelit hole to the elaboration of its
 /// parameterized expansion, `u ↩ d_pexpansion`.
 #[derive(Debug, Clone, Default)]
 pub struct Omega {
-    map: BTreeMap<HoleName, OmegaEntry>,
+    map: BTreeMap<HoleName, IExp>,
 }
 
-/// One Ω entry.
-#[derive(Debug, Clone)]
-pub struct OmegaEntry {
-    /// The elaborated, closed parameterized expansion `d_pexpansion`.
-    pub pexpansion: IExp,
-    /// Its curried type `{τi} → τ_expand`.
-    pub full_ty: Typ,
-    /// The expansion type `τ_expand`.
-    pub expansion_ty: Typ,
+impl FromIterator<(HoleName, IExp)> for Omega {
+    fn from_iter<I: IntoIterator<Item = (HoleName, IExp)>>(entries: I) -> Omega {
+        Omega {
+            map: entries.into_iter().collect(),
+        }
+    }
 }
 
 impl Omega {
@@ -67,9 +64,13 @@ impl Omega {
         self.map.keys().copied()
     }
 
-    /// Looks up an entry.
-    pub fn get(&self, u: HoleName) -> Option<&OmegaEntry> {
+    /// The elaborated parameterized expansion recorded for `u`.
+    pub fn get(&self, u: HoleName) -> Option<&IExp> {
         self.map.get(&u)
+    }
+
+    pub(crate) fn insert(&mut self, u: HoleName, d_pexpansion: IExp) {
+        self.map.insert(u, d_pexpansion);
     }
 
     /// Whether `u` is a livelit hole.
@@ -95,7 +96,7 @@ impl Omega {
     /// closed, so filling is syntactic replacement: no closure's recorded
     /// environment needs realizing.
     pub fn fill(&self, d: &IExp) -> IExp {
-        fill(d, &|u| self.map.get(&u).map(|entry| &entry.pexpansion))
+        fill(d, &|u| self.map.get(&u))
     }
 
     /// `fillΩ(σ)` on an environment (Def. 4.6, clause 1).
@@ -107,7 +108,8 @@ impl Omega {
 /// A closure-collection failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CollectError {
-    /// A livelit failed to expand.
+    /// A livelit failed to expand ([`eval_full`] only: collection marks
+    /// failing invocations instead).
     Expand(ExpandError),
     /// The cc-expansion failed to type check or elaborate.
     Type(TypeError),
@@ -145,126 +147,26 @@ impl From<EvalError> for CollectError {
     }
 }
 
-/// The cc-expansion judgement `Φ; Γ ⊢cc ê ⇝ e : τ ⊣ Ω` (rewriting core).
+/// The cc-expansion judgement `Φ; Γ ⊢cc ê ⇝ e : τ ⊣ Ω` (rewriting core),
+/// with failing invocations marked (Sec. 5.1).
 ///
 /// Livelit invocations become `(⦇⦈u : {τi} → τ_expand) {ei}` — an empty hole
 /// (ascribed at the parameterized-expansion type so the bidirectional
 /// checker records `u :: τ[Γ]`) applied to the cc-expanded splices — while
-/// Ω collects `u ↩ d_pexpansion`.
-///
-/// # Errors
-///
-/// See [`ExpandError`]; every premise of `ELivelit` still runs, so all of
-/// its failure modes are reported here too.
-pub fn cc_expand(phi: &LivelitCtx, e: &UExp, omega: &mut Omega) -> Result<EExp, ExpandError> {
-    match e {
-        UExp::Livelit(ap) => {
-            let (pe, d_pexpansion) = expand_invocation_elab(phi, ap)?;
-            omega.map.insert(
-                ap.hole,
-                OmegaEntry {
-                    pexpansion: d_pexpansion,
-                    full_ty: pe.full_ty.clone(),
-                    expansion_ty: pe.expansion_ty.clone(),
-                },
-            );
-            let mut out = EExp::Asc(Box::new(EExp::EmptyHole(ap.hole)), pe.full_ty);
-            for splice in &ap.splices {
-                let expanded = cc_expand(phi, &splice.exp, omega)?;
-                out = EExp::Ap(Box::new(out), Box::new(expanded));
-            }
-            Ok(out)
-        }
-        UExp::Var(x) => Ok(EExp::Var(x.clone())),
-        UExp::Lam(x, t, b) => Ok(EExp::Lam(
-            x.clone(),
-            t.clone(),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::Ap(a, b) => Ok(EExp::Ap(
-            Box::new(cc_expand(phi, a, omega)?),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::Let(x, t, a, b) => Ok(EExp::Let(
-            x.clone(),
-            t.clone(),
-            Box::new(cc_expand(phi, a, omega)?),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::Fix(x, t, b) => Ok(EExp::Fix(
-            x.clone(),
-            t.clone(),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::Int(n) => Ok(EExp::Int(*n)),
-        UExp::Float(x) => Ok(EExp::Float(*x)),
-        UExp::Bool(b) => Ok(EExp::Bool(*b)),
-        UExp::Str(s) => Ok(EExp::Str(s.clone())),
-        UExp::Unit => Ok(EExp::Unit),
-        UExp::Bin(op, a, b) => Ok(EExp::Bin(
-            *op,
-            Box::new(cc_expand(phi, a, omega)?),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::If(c, t, e2) => Ok(EExp::If(
-            Box::new(cc_expand(phi, c, omega)?),
-            Box::new(cc_expand(phi, t, omega)?),
-            Box::new(cc_expand(phi, e2, omega)?),
-        )),
-        UExp::Tuple(fields) => Ok(EExp::Tuple(
-            fields
-                .iter()
-                .map(|(l, fe)| Ok((l.clone(), cc_expand(phi, fe, omega)?)))
-                .collect::<Result<_, ExpandError>>()?,
-        )),
-        UExp::Proj(inner, l) => Ok(EExp::Proj(
-            Box::new(cc_expand(phi, inner, omega)?),
-            l.clone(),
-        )),
-        UExp::Inj(t, l, inner) => Ok(EExp::Inj(
-            t.clone(),
-            l.clone(),
-            Box::new(cc_expand(phi, inner, omega)?),
-        )),
-        UExp::Case(scrut, arms) => Ok(EExp::Case(
-            Box::new(cc_expand(phi, scrut, omega)?),
-            arms.iter()
-                .map(|arm| {
-                    Ok(CaseArm {
-                        label: arm.label.clone(),
-                        var: arm.var.clone(),
-                        body: cc_expand(phi, &arm.body, omega)?,
-                    })
-                })
-                .collect::<Result<_, ExpandError>>()?,
-        )),
-        UExp::Nil(t) => Ok(EExp::Nil(t.clone())),
-        UExp::Cons(a, b) => Ok(EExp::Cons(
-            Box::new(cc_expand(phi, a, omega)?),
-            Box::new(cc_expand(phi, b, omega)?),
-        )),
-        UExp::ListCase(scrut, nil, h, t, cons) => Ok(EExp::ListCase(
-            Box::new(cc_expand(phi, scrut, omega)?),
-            Box::new(cc_expand(phi, nil, omega)?),
-            h.clone(),
-            t.clone(),
-            Box::new(cc_expand(phi, cons, omega)?),
-        )),
-        UExp::Roll(t, inner) => Ok(EExp::Roll(
-            t.clone(),
-            Box::new(cc_expand(phi, inner, omega)?),
-        )),
-        UExp::Unroll(inner) => Ok(EExp::Unroll(Box::new(cc_expand(phi, inner, omega)?))),
-        UExp::Asc(inner, t) => Ok(EExp::Asc(
-            Box::new(cc_expand(phi, inner, omega)?),
-            t.clone(),
-        )),
-        UExp::EmptyHole(u) => Ok(EExp::EmptyHole(*u)),
-        UExp::NonEmptyHole(u, inner) => Ok(EExp::NonEmptyHole(
-            *u,
-            Box::new(cc_expand(phi, inner, omega)?),
-        )),
+/// Ω collects `u ↩ d_pexpansion`. A failing invocation becomes a hole as in
+/// [`expand_marked`](crate::expansion::expand_marked), and its failure is
+/// returned in post-order with those of every other one.
+pub fn cc_expand(phi: &LivelitCtx, e: &UExp) -> (EExp, Omega, Vec<MarkedError>) {
+    let mut omega = Omega::default();
+    let mut marked = Vec::new();
+    let cc_exp = Walk {
+        phi,
+        omega: Some(&mut omega),
+        marked: Some(&mut marked),
     }
+    .exp(e)
+    .expect("a marking walk absorbs every failure");
+    (cc_exp, omega, marked)
 }
 
 /// One σ interned into a term store: sorted (variable, value) pairs ready
@@ -322,11 +224,6 @@ impl SpliceCache {
             self.cur.entry(*key).or_insert(value);
         }
         self.cur.get(key)
-    }
-
-    /// Looks up `key` without promotion.
-    pub fn peek(&self, key: &(TermId, u32)) -> Option<&CachedSplice> {
-        self.cur.get(key).or_else(|| self.prev.get(key))
     }
 
     /// Inserts a splice result, rotating generations at
@@ -416,12 +313,6 @@ impl InternedEnvs {
         self.sigma_ids.insert(pairs.clone(), id);
         id
     }
-
-    /// Inserts a splice result; see [`SpliceCache::insert`] for the
-    /// generational eviction discipline.
-    pub fn cache_result(&mut self, key: (TermId, u32), value: CachedSplice) {
-        self.results.insert(key, value);
-    }
 }
 
 /// The result of running closure collection on a program.
@@ -437,6 +328,9 @@ pub struct Collection {
     pub delta: Delta,
     /// The cc-context Ω.
     pub omega: Omega,
+    /// The failing invocations, marked as holes in the cc-expansion
+    /// (Sec. 5.1), in post-order.
+    pub errors: Vec<MarkedError>,
     /// The evaluated cc-expansion (proto-closures live in here).
     pub proto_result: IExp,
     /// The collected, resumed environments per livelit hole (Def. 4.8):
@@ -476,22 +370,28 @@ impl Collection {
     /// a lineage); across lineages fingerprints never compare equal, which
     /// is the conservative direction. `None` when no environment was
     /// collected at that index.
-    ///
-    /// Interns the σ on first use — in the render pipeline the prewarm
-    /// batch has always interned it already, so this is a map lookup.
     pub fn sigma_fingerprint(&self, u: HoleName, env_index: usize) -> Option<(u64, u32)> {
-        let sigma = self.envs_for(u).get(env_index)?;
         let mut interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
-        let sid = match interned.envs.get(&(u, env_index)) {
-            Some(&(_, sid)) => sid,
-            None => {
-                let pairs = interned.store.intern_sigma(sigma);
-                let sid = interned.sigma_id(&pairs);
-                interned.envs.insert((u, env_index), (pairs, sid));
-                sid
-            }
-        };
+        let &(_, sid) = self.interned_env(&mut interned, u, env_index)?;
         Some((interned.namespace, sid))
+    }
+
+    /// The σ at `env_index` for hole `u` in `interned`, with its compact
+    /// id, interned on first use. `None` when no environment was collected
+    /// at that index.
+    pub(crate) fn interned_env<'i>(
+        &self,
+        interned: &'i mut InternedEnvs,
+        u: HoleName,
+        env_index: usize,
+    ) -> Option<&'i (InternedSigma, u32)> {
+        let sigma = self.envs_for(u).get(env_index)?;
+        if !interned.envs.contains_key(&(u, env_index)) {
+            let pairs = interned.store.intern_sigma(sigma);
+            let sid = interned.sigma_id(&pairs);
+            interned.envs.insert((u, env_index), (pairs, sid));
+        }
+        interned.envs.get(&(u, env_index))
     }
 
     /// Installs the cc-context `omega` built from the current livelit
@@ -514,10 +414,7 @@ impl Collection {
             .omega
             .holes()
             .chain(omega.holes())
-            .filter(|&u| {
-                self.omega.get(u).map(|entry| &entry.pexpansion)
-                    != omega.get(u).map(|entry| &entry.pexpansion)
-            })
+            .filter(|&u| self.omega.get(u) != omega.get(u))
             .collect();
         self.omega = omega;
         let mut stale = Vec::new();
@@ -564,7 +461,9 @@ impl Collection {
 }
 
 /// Runs both phases of closure collection on a closed program (Defs. 4.5 and
-/// 4.8) with the given evaluation fuel.
+/// 4.8) with the given evaluation fuel. Failing livelit invocations are
+/// marked as holes (Sec. 5.1) and listed in [`Collection::errors`], so the
+/// rest of the program still evaluates.
 ///
 /// # Errors
 ///
@@ -575,11 +474,11 @@ pub fn collect_with_fuel(
     fuel: u64,
 ) -> Result<Collection, CollectError> {
     let _span = livelit_trace::span("cc.collect");
-    // Phase 1: cc-expand, type, elaborate, evaluate.
-    let mut omega = Omega::default();
-    let cc_exp = {
+    // Phase 1: cc-expand (marking failing invocations), type, elaborate,
+    // evaluate.
+    let (cc_exp, omega, errors) = {
         let _span = livelit_trace::span("cc.expand");
-        cc_expand(phi, program, &mut omega)?
+        cc_expand(phi, program)
     };
     // Elaboration synthesizes τ and fails exactly when typing does
     // (Theorem 4.1), so it is the one typing pass.
@@ -596,6 +495,7 @@ pub fn collect_with_fuel(
         ty,
         delta,
         omega,
+        errors,
         proto_result,
         envs,
         proto_envs,
@@ -720,8 +620,8 @@ mod tests {
         let mut phi = LivelitCtx::new();
         phi.define(const_livelit("$seven", 7)).unwrap();
         let program = invoke("$seven", 0, vec![]);
-        let mut omega = Omega::default();
-        let cc = cc_expand(&phi, &program, &mut omega).unwrap();
+        let (cc, omega, errors) = cc_expand(&phi, &program);
+        assert!(errors.is_empty());
         assert!(matches!(cc, EExp::Asc(ref inner, _) if matches!(**inner, EExp::EmptyHole(_))));
         assert_eq!(omega.len(), 1);
         assert!(omega.contains(HoleName(0)));

@@ -21,6 +21,8 @@ use hazel_lang::store::{TermId, TermStore};
 use hazel_lang::typ::Typ;
 use hazel_lang::typing::{Ctx, Delta, TypeError};
 
+use crate::expansion::PExpansion;
+
 /// Which `Exp` reflection scheme an object-language expansion function
 /// produces (Sec. 4.2.1: "any scheme is sufficient").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,29 +245,13 @@ impl LivelitDef {
     }
 }
 
-/// One cached, validated parameterized expansion — the output of premises
-/// 2–5 of `ELivelit` — plus the elaboration of that expansion, filled in
-/// lazily the first time closure collection needs it.
-#[derive(Debug, Clone)]
-pub struct CachedExpansion {
-    /// The closed, validated parameterized expansion.
-    pub pexpansion: EExp,
-    /// Its curried type `{τi}^(i<n) → τ_expand`.
-    pub full_ty: Typ,
-    /// The expansion type `τ_expand`.
-    pub expansion_ty: Typ,
-    /// `elab_syn` of the parameterized expansion, once computed.
-    pub elab: Option<IExp>,
-}
-
 /// Cache key: definition identity, interned model, splice types — exactly
 /// the inputs premises 2–5 of `ELivelit` read.
 type CacheKey = (u64, TermId, Box<[Typ]>);
 
 /// A reusable, pre-interned expansion-cache key. Computing one interns the
-/// model exactly once; every follow-up cache operation in the same logical
-/// invocation (lookup, insert, elaboration, analysis) reuses it instead of
-/// re-interning. The key remembers the cache epoch it was minted in so a
+/// model exactly once; the lookup and the insert of the same logical
+/// invocation reuse it instead of re-interning. The key remembers the cache epoch it was minted in so a
 /// wholesale eviction (which restarts model ids) can never let a stale
 /// `TermId` alias a different model.
 #[derive(Debug, Clone)]
@@ -279,7 +265,7 @@ struct ExpansionCacheInner {
     /// Interns models so the key carries a compact, hashable `TermId`
     /// (models contain floats, which the tree representation cannot hash).
     models: TermStore,
-    map: HashMap<CacheKey, CachedExpansion>,
+    map: HashMap<CacheKey, PExpansion>,
     /// Bumped on every wholesale eviction; invalidates outstanding
     /// [`ExpansionKey`]s minted against the cleared model store.
     epoch: u64,
@@ -313,7 +299,7 @@ impl ExpansionCache {
     }
 
     /// Looks up a validated expansion, counting a hit or a miss.
-    pub fn lookup(&self, key: &ExpansionKey) -> Option<CachedExpansion> {
+    pub fn lookup(&self, key: &ExpansionKey) -> Option<PExpansion> {
         let inner = self.inner.lock().expect("expansion cache poisoned");
         let found = if key.epoch == inner.epoch {
             inner.map.get(&key.key).cloned()
@@ -331,19 +317,8 @@ impl ExpansionCache {
         found
     }
 
-    /// Like [`ExpansionCache::lookup`] but without hit/miss accounting —
-    /// for follow-up reads that are part of the same logical lookup.
-    pub fn peek(&self, key: &ExpansionKey) -> Option<CachedExpansion> {
-        let inner = self.inner.lock().expect("expansion cache poisoned");
-        if key.epoch == inner.epoch {
-            inner.map.get(&key.key).cloned()
-        } else {
-            None
-        }
-    }
-
     /// Caches a validated expansion.
-    pub fn insert(&self, key: &ExpansionKey, entry: CachedExpansion) {
+    pub fn insert(&self, key: &ExpansionKey, entry: PExpansion) {
         let mut inner = self.inner.lock().expect("expansion cache poisoned");
         if inner.map.len() >= EXPANSION_CACHE_CAP {
             // Clearing the model store restarts ids, so the map (whose keys
@@ -359,19 +334,6 @@ impl ExpansionCache {
         // A stale-epoch key (minted just before the eviction above) is
         // dropped rather than re-interned: the next invocation simply
         // recomputes and caches under a fresh key.
-    }
-
-    /// Records the elaboration of an already-cached expansion.
-    pub fn set_elab(&self, key: &ExpansionKey, d: &IExp) {
-        let mut inner = self.inner.lock().expect("expansion cache poisoned");
-        if key.epoch != inner.epoch {
-            return;
-        }
-        if let Some(entry) = inner.map.get_mut(&key.key) {
-            if entry.elab.is_none() {
-                entry.elab = Some(d.clone());
-            }
-        }
     }
 
     /// The number of cached expansions.

@@ -20,6 +20,11 @@
 //! splice against its splice type under the invocation-site Γ — together
 //! these implement the typed-expansion judgement, and Theorem 4.4 (typed
 //! expansion) is the statement that the composition succeeds.
+//!
+//! One walk over the program serves the full expansion ([`expand`]), the
+//! cc-expansion of closure collection ([`crate::cc::cc_expand`]) and Sec.
+//! 5.1's error marking ([`expand_marked`]): they differ only in what an
+//! invocation becomes.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -27,14 +32,15 @@ use std::fmt;
 use hazel_lang::elab::elab_syn;
 use hazel_lang::eval::{eval_traced, EvalError, DEFAULT_FUEL};
 use hazel_lang::external::{CaseArm, EExp};
-use hazel_lang::ident::{LivelitName, Var};
+use hazel_lang::ident::{HoleName, LivelitName, Var};
 use hazel_lang::internal::IExp;
 use hazel_lang::typ::Typ;
-use hazel_lang::typing::{ana, syn, Ctx, Delta, TypeError};
+use hazel_lang::typing::{syn, Ctx, Delta, TypeError};
 use hazel_lang::unexpanded::{LivelitAp, UExp};
 use hazel_lang::value::value_has_typ;
 
-use crate::def::{CachedExpansion, ExpandFn, ExpansionKey, LivelitCtx};
+use crate::cc::Omega;
+use crate::def::{ExpandFn, LivelitCtx};
 use crate::encoding::{decode, DecodeError};
 
 /// An expansion failure.
@@ -194,6 +200,9 @@ impl From<TypeError> for ExpandError {
 pub struct PExpansion {
     /// The closed parameterized expansion `e_pexpansion`.
     pub pexpansion: EExp,
+    /// Its elaboration `d_pexpansion`: what closure collection records in
+    /// Ω (Sec. 4.3.1).
+    pub elab: IExp,
     /// Its curried type `{τi}^(i<n) → τ_expand`.
     pub full_ty: Typ,
     /// The expansion type `τ_expand`.
@@ -231,17 +240,6 @@ fn expand_invocation_with(
     ap: &LivelitAp,
     use_cache: bool,
 ) -> Result<PExpansion, ExpandError> {
-    expand_invocation_inner(phi, ap, use_cache).map(|(pe, _)| pe)
-}
-
-/// The worker behind [`expand_invocation`]: also returns the minted cache
-/// key so callers with follow-up cache traffic (elaboration memoization)
-/// reuse it instead of re-interning the model.
-fn expand_invocation_inner(
-    phi: &LivelitCtx,
-    ap: &LivelitAp,
-    use_cache: bool,
-) -> Result<(PExpansion, Option<ExpansionKey>), ExpandError> {
     livelit_trace::count(livelit_trace::Counter::ExpansionsPerformed, 1);
     // 1. Lookup.
     let def = phi
@@ -249,8 +247,7 @@ fn expand_invocation_inner(
         .ok_or_else(|| ExpandError::UnboundLivelit(ap.name.clone()))?;
 
     // Premises 2–5 are a pure function of the definition, the model, and
-    // the splice types — exactly the cache key, minted once here and
-    // threaded through every cache operation for this invocation. A hit
+    // the splice types — exactly the cache key, minted once here. A hit
     // means an invocation with this key already passed every premise, so
     // the cached expansion can be returned without re-running them.
     let splice_tys: Vec<Typ> = ap.splices.iter().map(|s| s.ty.clone()).collect();
@@ -260,14 +257,7 @@ fn expand_invocation_inner(
     });
     if let Some(key) = &key {
         if let Some(cached) = phi.expansion_cache().lookup(key) {
-            return Ok((
-                PExpansion {
-                    pexpansion: cached.pexpansion,
-                    full_ty: cached.full_ty,
-                    expansion_ty: cached.expansion_ty,
-                },
-                Some(key.clone()),
-            ));
+            return Ok(cached);
         }
     }
 
@@ -318,14 +308,16 @@ fn expand_invocation_inner(
             free,
         });
     }
-    // ... and the curried type {τi} → τ_expand.
+    // ... and the curried type {τi} → τ_expand. Elaboration synthesizes
+    // the type and fails exactly when typing does (Theorem 4.1), so the
+    // check also yields the elaboration that Ω needs.
     let full_ty = Typ::arrows(
         ap.splices.iter().map(|s| s.ty.clone()),
         def.expansion_ty.clone(),
     );
-    match syn(&Ctx::empty(), &pexpansion) {
-        Ok((found, _)) if found == full_ty => {}
-        Ok((found, _)) => {
+    let elab = match elab_syn(&Ctx::empty(), &pexpansion) {
+        Ok((elab, found, _)) if found == full_ty => elab,
+        Ok((_, found, _)) => {
             let error = TypeError::Mismatch {
                 expected: full_ty.clone(),
                 found,
@@ -343,28 +335,18 @@ fn expand_invocation_inner(
                 error,
             })
         }
-    }
+    };
 
+    let pe = PExpansion {
+        pexpansion,
+        elab,
+        full_ty,
+        expansion_ty: def.expansion_ty.clone(),
+    };
     if let Some(key) = &key {
-        phi.expansion_cache().insert(
-            key,
-            CachedExpansion {
-                pexpansion: pexpansion.clone(),
-                full_ty: full_ty.clone(),
-                expansion_ty: def.expansion_ty.clone(),
-                elab: None,
-            },
-        );
+        phi.expansion_cache().insert(key, pe.clone());
     }
-
-    Ok((
-        PExpansion {
-            pexpansion,
-            full_ty,
-            expansion_ty: def.expansion_ty.clone(),
-        },
-        key,
-    ))
+    Ok(pe)
 }
 
 /// Why a livelit's expand function failed to produce a parameterized
@@ -418,28 +400,143 @@ pub fn run_expand_fn(expand: &ExpandFn, model: &IExp) -> Result<EExp, ExpandFnEr
     }
 }
 
-/// [`expand_invocation`] plus the elaboration of the parameterized
-/// expansion, memoized alongside it in the expansion cache (closure
-/// collection elaborates every invocation's expansion into Ω).
-///
-/// # Errors
-///
-/// See [`ExpandError`].
-pub fn expand_invocation_elab(
-    phi: &LivelitCtx,
-    ap: &LivelitAp,
-) -> Result<(PExpansion, IExp), ExpandError> {
-    let (pe, key) = expand_invocation_inner(phi, ap, true)?;
-    if let Some(key) = &key {
-        if let Some(CachedExpansion { elab: Some(d), .. }) = phi.expansion_cache().peek(key) {
-            return Ok((pe, d));
+/// A livelit invocation whose expansion failed, marked as a hole so that
+/// the rest of the program still types and evaluates (Sec. 5.1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MarkedError {
+    /// The livelit hole whose invocation failed.
+    pub hole: HoleName,
+    /// The failure.
+    pub error: ExpandError,
+}
+
+/// The one traversal behind every expansion judgement. It rebuilds a term
+/// as an external expression, and the judgements differ only in what an
+/// invocation becomes ([`Walk::livelit`]).
+pub(crate) struct Walk<'a> {
+    pub(crate) phi: &'a LivelitCtx,
+    /// The cc-context under construction (Sec. 4.3.1). When present, each
+    /// invocation becomes a hole that stands in for its parameterized
+    /// expansion, whose elaboration is recorded here.
+    pub(crate) omega: Option<&'a mut Omega>,
+    /// The failing invocations marked so far (Sec. 5.1). When present, a
+    /// failing invocation becomes a hole instead of failing the walk.
+    pub(crate) marked: Option<&'a mut Vec<MarkedError>>,
+}
+
+impl Walk<'_> {
+    fn livelit(&mut self, ap: &LivelitAp) -> Result<EExp, ExpandError> {
+        let pe = match expand_invocation(self.phi, ap) {
+            Ok(pe) => pe,
+            Err(error) => return self.mark(ap, error),
+        };
+        let mut out = match self.omega.as_deref_mut() {
+            // The hole is ascribed at {τi} → τ_expand so that typing
+            // records u :: τ[Γ], the context splices are evaluated in.
+            Some(omega) => {
+                omega.insert(ap.hole, pe.elab);
+                EExp::Asc(Box::new(EExp::EmptyHole(ap.hole)), pe.full_ty)
+            }
+            // Conclusion of ELivelit: apply the parameterized expansion to
+            // the expanded splices. Beta reduction performs capture-avoiding
+            // substitution, so splices cannot capture expansion-internal
+            // bindings.
+            None => pe.pexpansion,
+        };
+        for splice in &ap.splices {
+            let expanded = self.exp(&splice.exp)?;
+            out = EExp::Ap(Box::new(out), Box::new(expanded));
         }
+        Ok(out)
     }
-    let (d, _, _) = elab_syn(&Ctx::empty(), &pe.pexpansion).map_err(ExpandError::Type)?;
-    if let Some(key) = &key {
-        phi.expansion_cache().set_elab(key, &d);
+
+    /// Marks a failing invocation: it becomes a hole ascribed at the
+    /// livelit's expansion type, or a bare hole when the livelit is
+    /// unbound. Its splices are dropped with it, but the failures inside
+    /// them are marked too, ahead of its own (post-order), and they add
+    /// nothing to Ω.
+    fn mark(&mut self, ap: &LivelitAp, error: ExpandError) -> Result<EExp, ExpandError> {
+        if self.marked.is_none() {
+            return Err(error);
+        }
+        let omega = self.omega.take();
+        for splice in &ap.splices {
+            self.exp(&splice.exp)?;
+        }
+        self.omega = omega;
+        if let Some(marked) = self.marked.as_deref_mut() {
+            marked.push(MarkedError {
+                hole: ap.hole,
+                error,
+            });
+        }
+        let hole = EExp::EmptyHole(ap.hole);
+        Ok(match self.phi.get(&ap.name) {
+            Some(def) => EExp::Asc(Box::new(hole), def.expansion_ty.clone()),
+            None => hole,
+        })
     }
-    Ok((pe, d))
+
+    pub(crate) fn exp(&mut self, e: &UExp) -> Result<EExp, ExpandError> {
+        Ok(match e {
+            UExp::Livelit(ap) => self.livelit(ap)?,
+            UExp::Var(x) => EExp::Var(x.clone()),
+            UExp::Lam(x, t, b) => EExp::Lam(x.clone(), t.clone(), Box::new(self.exp(b)?)),
+            UExp::Ap(a, b) => EExp::Ap(Box::new(self.exp(a)?), Box::new(self.exp(b)?)),
+            UExp::Let(x, t, a, b) => EExp::Let(
+                x.clone(),
+                t.clone(),
+                Box::new(self.exp(a)?),
+                Box::new(self.exp(b)?),
+            ),
+            UExp::Fix(x, t, b) => EExp::Fix(x.clone(), t.clone(), Box::new(self.exp(b)?)),
+            UExp::Int(n) => EExp::Int(*n),
+            UExp::Float(x) => EExp::Float(*x),
+            UExp::Bool(b) => EExp::Bool(*b),
+            UExp::Str(s) => EExp::Str(s.clone()),
+            UExp::Unit => EExp::Unit,
+            UExp::Bin(op, a, b) => EExp::Bin(*op, Box::new(self.exp(a)?), Box::new(self.exp(b)?)),
+            UExp::If(c, t, e2) => EExp::If(
+                Box::new(self.exp(c)?),
+                Box::new(self.exp(t)?),
+                Box::new(self.exp(e2)?),
+            ),
+            UExp::Tuple(fields) => EExp::Tuple(
+                fields
+                    .iter()
+                    .map(|(l, fe)| Ok((l.clone(), self.exp(fe)?)))
+                    .collect::<Result<_, ExpandError>>()?,
+            ),
+            UExp::Proj(inner, l) => EExp::Proj(Box::new(self.exp(inner)?), l.clone()),
+            UExp::Inj(t, l, inner) => EExp::Inj(t.clone(), l.clone(), Box::new(self.exp(inner)?)),
+            UExp::Case(scrut, arms) => EExp::Case(
+                Box::new(self.exp(scrut)?),
+                arms.iter()
+                    .map(|arm| {
+                        Ok(CaseArm {
+                            label: arm.label.clone(),
+                            var: arm.var.clone(),
+                            body: self.exp(&arm.body)?,
+                        })
+                    })
+                    .collect::<Result<_, ExpandError>>()?,
+            ),
+            UExp::Nil(t) => EExp::Nil(t.clone()),
+            UExp::Cons(a, b) => EExp::Cons(Box::new(self.exp(a)?), Box::new(self.exp(b)?)),
+            UExp::ListCase(scrut, nil, h, t, cons) => EExp::ListCase(
+                Box::new(self.exp(scrut)?),
+                Box::new(self.exp(nil)?),
+                h.clone(),
+                t.clone(),
+                Box::new(self.exp(cons)?),
+            ),
+            UExp::Roll(t, inner) => EExp::Roll(t.clone(), Box::new(self.exp(inner)?)),
+            UExp::Unroll(inner) => EExp::Unroll(Box::new(self.exp(inner)?)),
+            UExp::Asc(inner, t) => EExp::Asc(Box::new(self.exp(inner)?), t.clone()),
+            UExp::EmptyHole(u) => EExp::EmptyHole(*u),
+            UExp::NonEmptyHole(u, inner) => EExp::NonEmptyHole(*u, Box::new(self.exp(inner)?)),
+        })
+    }
 }
 
 /// Expands every livelit invocation in `ê`, producing the external
@@ -447,92 +544,29 @@ pub fn expand_invocation_elab(
 ///
 /// # Errors
 ///
-/// See [`ExpandError`].
+/// The first failing invocation's [`ExpandError`], in pre-order.
 pub fn expand(phi: &LivelitCtx, e: &UExp) -> Result<EExp, ExpandError> {
-    match e {
-        UExp::Livelit(ap) => {
-            let pe = expand_invocation(phi, ap)?;
-            // Conclusion of ELivelit: apply the parameterized expansion to
-            // the expanded splices. Beta reduction performs capture-avoiding
-            // substitution, so splices cannot capture expansion-internal
-            // bindings.
-            let mut out = pe.pexpansion;
-            for splice in &ap.splices {
-                let expanded = expand(phi, &splice.exp)?;
-                out = EExp::Ap(Box::new(out), Box::new(expanded));
-            }
-            Ok(out)
-        }
-        UExp::Var(x) => Ok(EExp::Var(x.clone())),
-        UExp::Lam(x, t, b) => Ok(EExp::Lam(x.clone(), t.clone(), Box::new(expand(phi, b)?))),
-        UExp::Ap(a, b) => Ok(EExp::Ap(
-            Box::new(expand(phi, a)?),
-            Box::new(expand(phi, b)?),
-        )),
-        UExp::Let(x, t, a, b) => Ok(EExp::Let(
-            x.clone(),
-            t.clone(),
-            Box::new(expand(phi, a)?),
-            Box::new(expand(phi, b)?),
-        )),
-        UExp::Fix(x, t, b) => Ok(EExp::Fix(x.clone(), t.clone(), Box::new(expand(phi, b)?))),
-        UExp::Int(n) => Ok(EExp::Int(*n)),
-        UExp::Float(x) => Ok(EExp::Float(*x)),
-        UExp::Bool(b) => Ok(EExp::Bool(*b)),
-        UExp::Str(s) => Ok(EExp::Str(s.clone())),
-        UExp::Unit => Ok(EExp::Unit),
-        UExp::Bin(op, a, b) => Ok(EExp::Bin(
-            *op,
-            Box::new(expand(phi, a)?),
-            Box::new(expand(phi, b)?),
-        )),
-        UExp::If(c, t, e2) => Ok(EExp::If(
-            Box::new(expand(phi, c)?),
-            Box::new(expand(phi, t)?),
-            Box::new(expand(phi, e2)?),
-        )),
-        UExp::Tuple(fields) => Ok(EExp::Tuple(
-            fields
-                .iter()
-                .map(|(l, fe)| Ok((l.clone(), expand(phi, fe)?)))
-                .collect::<Result<_, ExpandError>>()?,
-        )),
-        UExp::Proj(inner, l) => Ok(EExp::Proj(Box::new(expand(phi, inner)?), l.clone())),
-        UExp::Inj(t, l, inner) => Ok(EExp::Inj(
-            t.clone(),
-            l.clone(),
-            Box::new(expand(phi, inner)?),
-        )),
-        UExp::Case(scrut, arms) => Ok(EExp::Case(
-            Box::new(expand(phi, scrut)?),
-            arms.iter()
-                .map(|arm| {
-                    Ok(CaseArm {
-                        label: arm.label.clone(),
-                        var: arm.var.clone(),
-                        body: expand(phi, &arm.body)?,
-                    })
-                })
-                .collect::<Result<_, ExpandError>>()?,
-        )),
-        UExp::Nil(t) => Ok(EExp::Nil(t.clone())),
-        UExp::Cons(a, b) => Ok(EExp::Cons(
-            Box::new(expand(phi, a)?),
-            Box::new(expand(phi, b)?),
-        )),
-        UExp::ListCase(scrut, nil, h, t, cons) => Ok(EExp::ListCase(
-            Box::new(expand(phi, scrut)?),
-            Box::new(expand(phi, nil)?),
-            h.clone(),
-            t.clone(),
-            Box::new(expand(phi, cons)?),
-        )),
-        UExp::Roll(t, inner) => Ok(EExp::Roll(t.clone(), Box::new(expand(phi, inner)?))),
-        UExp::Unroll(inner) => Ok(EExp::Unroll(Box::new(expand(phi, inner)?))),
-        UExp::Asc(inner, t) => Ok(EExp::Asc(Box::new(expand(phi, inner)?), t.clone())),
-        UExp::EmptyHole(u) => Ok(EExp::EmptyHole(*u)),
-        UExp::NonEmptyHole(u, inner) => Ok(EExp::NonEmptyHole(*u, Box::new(expand(phi, inner)?))),
+    Walk {
+        phi,
+        omega: None,
+        marked: None,
     }
+    .exp(e)
+}
+
+/// [`expand`] with every failing invocation marked as a hole instead
+/// (Sec. 5.1), returning the expansion and the marked failures in
+/// post-order.
+pub fn expand_marked(phi: &LivelitCtx, e: &UExp) -> (EExp, Vec<MarkedError>) {
+    let mut marked = Vec::new();
+    let expanded = Walk {
+        phi,
+        omega: None,
+        marked: Some(&mut marked),
+    }
+    .exp(e)
+    .expect("a marking walk absorbs every failure");
+    (expanded, marked)
 }
 
 /// The full typed-expansion judgement `Φ; Γ ⊢ ê ⇝ e : τ` in synthetic
@@ -554,23 +588,6 @@ pub fn expand_typed(
     let expanded = expand(phi, e)?;
     let (ty, delta) = syn(ctx, &expanded)?;
     Ok((expanded, ty, delta))
-}
-
-/// The typed-expansion judgement in analytic position.
-///
-/// # Errors
-///
-/// See [`ExpandError`].
-pub fn expand_typed_ana(
-    phi: &LivelitCtx,
-    ctx: &Ctx,
-    e: &UExp,
-    ty: &Typ,
-) -> Result<(EExp, Delta), ExpandError> {
-    let _span = livelit_trace::span("expand.typed");
-    let expanded = expand(phi, e)?;
-    let delta = ana(ctx, &expanded, ty)?;
-    Ok((expanded, delta))
 }
 
 #[cfg(test)]

@@ -60,5 +60,5 @@ pub mod module;
 
 pub use cc::{collect, collect_with_fuel, Collection, Omega};
 pub use def::{EncodingScheme, ExpandFn, ExpansionKey, LivelitCtx, LivelitDef};
-pub use expansion::{expand, expand_typed, ExpandError};
-pub use live::{eval_splice, eval_splice_in_env, eval_splices, LiveError, LiveResult, SpliceJob};
+pub use expansion::{expand, expand_marked, expand_typed, ExpandError, MarkedError};
+pub use live::{eval_splice, eval_splice_in_env, LiveError, LiveResult};

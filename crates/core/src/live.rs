@@ -7,7 +7,6 @@
 //! possible, e.g. because no closures are collected or because no value has
 //! been collected for a variable used in the splice".
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::PoisonError;
 
@@ -17,7 +16,6 @@ use hazel_lang::final_form::{is_value, Classification};
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::{IExp, Sigma};
 use hazel_lang::machine::MachineEvaluator;
-use hazel_lang::store::TermId;
 use hazel_lang::typ::Typ;
 use hazel_lang::typing::{Ctx, TypeError};
 use hazel_lang::unexpanded::UExp;
@@ -137,183 +135,20 @@ pub fn eval_splice_in_env(
     }))
 }
 
-/// One request in a batch of live splice evaluations: evaluate `splice`
-/// (of splice type `ty`) under the `env_index`-th closure collected for
-/// livelit hole `u`.
-#[derive(Debug, Clone, Copy)]
-pub struct SpliceJob<'a> {
-    /// The livelit hole whose collected closures supply the environment.
-    pub u: HoleName,
-    /// Index of the collected closure to evaluate under.
-    pub env_index: usize,
-    /// The unexpanded splice expression.
-    pub splice: &'a UExp,
-    /// The splice type it must check against.
-    pub ty: &'a Typ,
-}
-
-/// What the sequential preparation phase decided about one job.
-enum Prepared {
-    /// Decided without evaluation: missing closure or hypothesis, or an
-    /// expansion/type error.
-    Ready(Result<Option<LiveResult>, LiveError>),
-    /// Resolve from the splice-result cache under this key after the
-    /// evaluation phase.
-    Key((TermId, u32)),
-}
-
-/// Evaluates a batch of splices, sharing one pass over the collection's
-/// interned state.
-///
-/// Slot `i` of the output corresponds to `jobs[i]`. Results are identical
-/// to calling [`eval_splice`] per job in order — the batch exists so the
-/// editor can prepare every view's splices after an edit under one lock.
-/// Two phases:
-///
-/// 1. **Prepare** (in job order): expand, elaborate, intern σ, substitute,
-///    and consult the per-collection splice-result cache keyed by
-///    (interned elaborated splice, interned σ). Hits and batch duplicates
-///    are counted as [`livelit_trace::Counter::SpliceCacheHits`].
-/// 2. **Evaluate** (in miss order): each distinct miss runs on the
-///    environment machine directly in the collection's term store, and
-///    its result is cached.
-pub fn eval_splices(
-    phi: &LivelitCtx,
-    collection: &Collection,
-    jobs: &[SpliceJob<'_>],
-) -> Vec<Result<Option<LiveResult>, LiveError>> {
-    let mut guard = collection
-        .interned()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let interned = &mut *guard;
-
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(jobs.len());
-    // Results decided this batch, keyed like the shared cache. The final
-    // phase reads these rather than the shared cache so a capacity
-    // eviction between phases cannot drop a key a job depends on.
-    let mut batch_results: HashMap<(TermId, u32), CachedSplice> = HashMap::new();
-    let mut scheduled: HashSet<(TermId, u32)> = HashSet::new();
-    let mut to_eval: Vec<((TermId, u32), TermId)> = Vec::new();
-    for job in jobs {
-        let Some(sigma) = collection.envs_for(job.u).get(job.env_index) else {
-            prepared.push(Prepared::Ready(Ok(None)));
-            continue;
-        };
-        let Some(hyp) = collection.delta.get(job.u) else {
-            prepared.push(Prepared::Ready(Ok(None)));
-            continue;
-        };
-        let _span = livelit_trace::span("live.eval_splice");
-        livelit_trace::count(livelit_trace::Counter::SplicesEvaluated, 1);
-        let expanded = match expand(phi, job.splice) {
-            Ok(e) => e,
-            Err(e) => {
-                prepared.push(Prepared::Ready(Err(e.into())));
-                continue;
-            }
-        };
-        let (d, _delta) = match elab_ana(&hyp.ctx, &expanded, job.ty) {
-            Ok(elaborated) => elaborated,
-            Err(e) => {
-                prepared.push(Prepared::Ready(Err(e.into())));
-                continue;
-            }
-        };
-        // The interned fast path: semantically identical to
-        // [`eval_splice_in_env`] (the property suite checks this), but σ
-        // is interned once per closure into the collection's shared term
-        // store, realization is a path-copying simultaneous substitution,
-        // and the closedness check reads the store's free-variable cache.
-        if !interned.envs.contains_key(&(job.u, job.env_index)) {
-            let pairs = interned.store.intern_sigma(sigma);
-            let sid = interned.sigma_id(&pairs);
-            interned.envs.insert((job.u, job.env_index), (pairs, sid));
-        }
-        let sid = interned.envs[&(job.u, job.env_index)].1;
-        let dt = interned.store.intern_iexp(&d);
-        let key = (dt, sid);
-        if let Some(cached) = interned.results.lookup(&key) {
-            livelit_trace::count(livelit_trace::Counter::SpliceCacheHits, 1);
-            batch_results.entry(key).or_insert_with(|| cached.clone());
-            prepared.push(Prepared::Key(key));
-            continue;
-        }
-        if scheduled.contains(&key) {
-            // An earlier job in this batch already scheduled this key.
-            livelit_trace::count(livelit_trace::Counter::SpliceCacheHits, 1);
-            prepared.push(Prepared::Key(key));
-            continue;
-        }
-        livelit_trace::count(livelit_trace::Counter::SpliceCacheMisses, 1);
-        let pairs = interned.envs[&(job.u, job.env_index)].0.clone();
-        let closed = interned.store.subst_many(dt, &pairs);
-        if !interned.store.is_closed(closed) {
-            // A variable in the splice has no collected value.
-            interned.cache_result(key, CachedSplice::NotClosed);
-            batch_results.insert(key, CachedSplice::NotClosed);
-            prepared.push(Prepared::Key(key));
-            continue;
-        }
-        scheduled.insert(key);
-        to_eval.push((key, closed));
-        prepared.push(Prepared::Key(key));
-    }
-
-    if !to_eval.is_empty() {
-        let _span = livelit_trace::span("live.eval_batch");
-        for &(key, closed) in &to_eval {
-            let mut evaluator = MachineEvaluator::with_fuel(&mut interned.store, DEFAULT_FUEL);
-            let result = evaluator.eval(closed);
-            report_machine_counters(evaluator.counters());
-            let cached = match result {
-                Err(e) => CachedSplice::Err(e),
-                Ok(result) => CachedSplice::Done {
-                    result,
-                    is_val: matches!(interned.store.classification(result), Classification::Value),
-                },
-            };
-            interned.cache_result(key, cached.clone());
-            batch_results.insert(key, cached);
-        }
-    }
-    interned.store.report_trace_counters();
-
-    prepared
-        .into_iter()
-        .map(|p| match p {
-            Prepared::Ready(result) => result,
-            Prepared::Key(key) => {
-                let cached = batch_results
-                    .get(&key)
-                    .or_else(|| interned.results.peek(&key))
-                    .expect("splice batch key resolved in prepare or evaluate phase");
-                match cached {
-                    CachedSplice::NotClosed => Ok(None),
-                    CachedSplice::Err(e) => Err(LiveError::Eval(e.clone())),
-                    CachedSplice::Done { result, is_val } => {
-                        let tree = interned.store.to_iexp(*result);
-                        Ok(Some(if *is_val {
-                            LiveResult::Val(tree)
-                        } else {
-                            LiveResult::Indet(tree)
-                        }))
-                    }
-                }
-            }
-        })
-        .collect()
-}
-
 /// Evaluates splice `ê` under the `env_index`-th closure collected for
 /// livelit hole `u` — the closure-selection workflow of Fig. 2, where the
 /// client toggles between the closures of a livelit appearing in a
 /// multiply-applied function.
 ///
 /// Returns `Ok(None)` if no closure with that index was collected, or if the
-/// selected environment lacks a needed variable. A batch of one
-/// [`eval_splices`] job; repeated calls with an unchanged splice and σ are
-/// served from the collection's splice-result cache.
+/// selected environment lacks a needed variable. Results are identical to
+/// [`eval_splice_in_env`] (the property suite checks this), but σ is
+/// interned once per closure into the collection's shared term store,
+/// realization is a path-copying simultaneous substitution, the closedness
+/// check reads the store's free-variable cache, and evaluation runs on the
+/// environment machine in that store. The result is cached under
+/// (interned elaborated splice, σ id), so a repeated call with an unchanged
+/// splice and σ is a [`livelit_trace::Counter::SpliceCacheHits`].
 ///
 /// # Errors
 ///
@@ -326,18 +161,71 @@ pub fn eval_splice(
     splice: &UExp,
     ty: &Typ,
 ) -> Result<Option<LiveResult>, LiveError> {
-    eval_splices(
-        phi,
-        collection,
-        &[SpliceJob {
-            u,
-            env_index,
-            splice,
-            ty,
-        }],
-    )
-    .pop()
-    .expect("one job in, one result out")
+    if collection.envs_for(u).get(env_index).is_none() {
+        return Ok(None);
+    }
+    let Some(hyp) = collection.delta.get(u) else {
+        return Ok(None);
+    };
+    let _span = livelit_trace::span("live.eval_splice");
+    livelit_trace::count(livelit_trace::Counter::SplicesEvaluated, 1);
+    let expanded = expand(phi, splice)?;
+    let (d, _delta) = elab_ana(&hyp.ctx, &expanded, ty)?;
+
+    let mut guard = collection
+        .interned()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let interned = &mut *guard;
+    let &(_, sid) = collection
+        .interned_env(interned, u, env_index)
+        .expect("checked above");
+    let dt = interned.store.intern_iexp(&d);
+    let key = (dt, sid);
+    let cached = match interned.results.lookup(&key) {
+        Some(cached) => {
+            livelit_trace::count(livelit_trace::Counter::SpliceCacheHits, 1);
+            cached.clone()
+        }
+        None => {
+            livelit_trace::count(livelit_trace::Counter::SpliceCacheMisses, 1);
+            let pairs = &interned.envs[&(u, env_index)].0;
+            let closed = interned.store.subst_many(dt, pairs);
+            let cached = if !interned.store.is_closed(closed) {
+                // A variable in the splice has no collected value.
+                CachedSplice::NotClosed
+            } else {
+                let mut evaluator = MachineEvaluator::with_fuel(&mut interned.store, DEFAULT_FUEL);
+                let result = evaluator.eval(closed);
+                report_machine_counters(evaluator.counters());
+                match result {
+                    Err(e) => CachedSplice::Err(e),
+                    Ok(result) => CachedSplice::Done {
+                        result,
+                        is_val: matches!(
+                            interned.store.classification(result),
+                            Classification::Value
+                        ),
+                    },
+                }
+            };
+            interned.results.insert(key, cached.clone());
+            cached
+        }
+    };
+    interned.store.report_trace_counters();
+    match cached {
+        CachedSplice::NotClosed => Ok(None),
+        CachedSplice::Err(e) => Err(LiveError::Eval(e)),
+        CachedSplice::Done { result, is_val } => {
+            let tree = interned.store.to_iexp(result);
+            Ok(Some(if is_val {
+                LiveResult::Val(tree)
+            } else {
+                LiveResult::Indet(tree)
+            }))
+        }
+    }
 }
 
 #[cfg(test)]

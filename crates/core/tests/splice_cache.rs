@@ -35,9 +35,11 @@ fn rotation_keeps_recent_entries_and_counts_evictions() {
     // previous generation was empty).
     cache.insert(key(SPLICE_CACHE_CAP), CachedSplice::NotClosed);
     assert_eq!(sink.snapshot().counter(Counter::SpliceCacheEvictions), 0);
-    for i in 0..=SPLICE_CACHE_CAP {
-        assert!(cache.peek(&key(i)).is_some(), "entry {i} lost at rotation");
-    }
+    assert_eq!(
+        cache.len(),
+        SPLICE_CACHE_CAP + 1,
+        "no entry lost at rotation"
+    );
 
     // A lookup promotes the hot entry into the live generation...
     assert!(cache.lookup(&hot).is_some());
@@ -52,7 +54,7 @@ fn rotation_keeps_recent_entries_and_counts_evictions() {
         evicted > 0 && evicted < 2 * SPLICE_CACHE_CAP as u64,
         "one generation retired, not the whole cache (evicted {evicted})"
     );
-    assert!(cache.peek(&hot).is_some(), "promoted hot entry survived");
+    assert!(cache.lookup(&hot).is_some(), "promoted hot entry survived");
     // An entry never touched since the first generation is gone.
-    assert!(cache.peek(&key(1)).is_none(), "cold entry was retired");
+    assert!(cache.lookup(&key(1)).is_none(), "cold entry was retired");
 }

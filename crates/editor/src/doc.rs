@@ -81,6 +81,7 @@ impl From<CmdError> for DocError {
 const SPLICE_HOLE_BASE: u64 = 1 << 20;
 
 /// A live document.
+#[derive(Clone)]
 pub struct Document {
     /// Library bindings wrapped around the program.
     pub prelude: Vec<PreludeBinding>,
@@ -178,6 +179,18 @@ impl Document {
                     Box::new(UExp::from_eexp(&b.def)),
                     Box::new(acc),
                 )
+            })
+    }
+
+    /// The nesting depth of [`Self::full_program`], computed without
+    /// building it: each prelude binding is one more `let` around the
+    /// program.
+    pub fn depth(&self) -> usize {
+        self.prelude
+            .iter()
+            .rev()
+            .fold(self.program.depth(), |inner, b| {
+                1 + inner.max(UExp::from_eexp(&b.def).depth())
             })
     }
 

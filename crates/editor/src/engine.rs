@@ -2,9 +2,9 @@
 //!
 //! After every edit, Hazel re-runs: typed expansion → elaboration →
 //! evaluation with closure collection → livelit view computation. Every
-//! editor state is semantically meaningful; livelit failure modes are
-//! marked with non-empty holes so "erroneous expressions ... do not prevent
-//! other parts of the program from evaluating" (Sec. 2.4.1).
+//! editor state is semantically meaningful; closure collection marks
+//! livelit failure modes with holes so "erroneous expressions ... do not
+//! prevent other parts of the program from evaluating" (Sec. 2.4.1).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,11 +13,8 @@ use hazel_lang::eval::DEFAULT_FUEL;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::IExp;
-use hazel_lang::unexpanded::UExp;
 use livelit_core::cc::{collect_with_fuel, CollectError, Collection};
-use livelit_core::def::LivelitCtx;
-use livelit_core::expansion::{expand, expand_invocation, ExpandError};
-use livelit_core::live::{eval_splices, SpliceJob};
+use livelit_core::expansion::expand_marked;
 use livelit_mvu::html::Html;
 use livelit_mvu::livelit::{Action, CmdError};
 
@@ -25,31 +22,20 @@ use crate::doc::{DocError, Document};
 use crate::registry::LivelitRegistry;
 use crate::views::{view_key, ViewKey, ViewRetainer};
 
-/// A livelit error marked during the pre-pass, attributed to the invocation
-/// (hole) it arose at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarkedError {
-    /// The livelit hole whose invocation failed.
-    pub hole: HoleName,
-    /// The failure.
-    pub error: ExpandError,
-}
-
 /// Everything the editor needs to refresh the display after an edit.
 ///
-/// The program's type is [`Collection::ty`]; its full expansion, which
-/// only inspection reads (Sec. 2.2's toggle), is built on demand by
+/// The program's type is [`Collection::ty`] and its marked livelit
+/// failures are [`Collection::errors`]; its full expansion, which only
+/// inspection reads (Sec. 2.2's toggle), is built on demand by
 /// [`expansion`].
 #[derive(Debug, Clone)]
 pub struct EngineOutput {
-    /// The closure collection (cc-expansion, its type, Ω, environments per
-    /// livelit).
+    /// The closure collection (cc-expansion, its type, Ω, marked failures,
+    /// environments per livelit).
     pub collection: Collection,
     /// The final program result, computed by fill-and-resume from the
     /// collection (Sec. 4.3.2) — not by re-evaluating from scratch.
     pub result: IExp,
-    /// Livelit failures marked as non-empty holes during the pre-pass.
-    pub errors: Vec<MarkedError>,
     /// The computed view for each livelit instance, under its selected
     /// closure. Shared with the retainer's snapshot, so an unchanged view
     /// is an `Arc` clone, not a tree copy.
@@ -90,42 +76,6 @@ impl From<DocError> for EngineError {
     fn from(e: DocError) -> EngineError {
         EngineError::Doc(e)
     }
-}
-
-/// Marks failing livelit invocations with empty holes (at their invocation
-/// hole name) so the rest of the program still evaluates, returning the
-/// marked program and the errors. This implements the non-empty-hole error
-/// marking of Sec. 5.1 for the `ELivelit` failure modes.
-pub fn mark_livelit_errors(phi: &LivelitCtx, program: &UExp) -> (UExp, Vec<MarkedError>) {
-    let mut errors = Vec::new();
-    let marked = program.map(&mut |e| match e {
-        UExp::Livelit(ap) => match expand_invocation(phi, &ap) {
-            Ok(pe) => {
-                // Keep the invocation, but remember its type for the
-                // fallback hole if a *splice* fails later: not needed —
-                // splice failures are their own invocations' failures.
-                let _ = pe;
-                UExp::Livelit(ap)
-            }
-            Err(error) => {
-                errors.push(MarkedError {
-                    hole: ap.hole,
-                    error,
-                });
-                // Replace the invocation with an ascribed hole at the
-                // expansion type when known, so the surrounding program
-                // still types; otherwise a bare hole.
-                match phi.get(&ap.name) {
-                    Some(def) => {
-                        UExp::Asc(Box::new(UExp::EmptyHole(ap.hole)), def.expansion_ty.clone())
-                    }
-                    None => UExp::EmptyHole(ap.hole),
-                }
-            }
-        },
-        other => other,
-    });
-    (marked, errors)
 }
 
 /// Runs the full pipeline on a document.
@@ -170,16 +120,10 @@ pub(crate) fn run_with_fuel_in(
     let phi = registry.phi();
     let program = doc.full_program();
 
-    // Pre-pass: absorb livelit failures into holes.
-    let (marked, errors) = {
-        let _span = livelit_trace::span("engine.mark");
-        mark_livelit_errors(&phi, &program)
-    };
-
-    // Closure collection over the marked program.
+    // Closure collection, which marks failing invocations as holes.
     let collection = {
         let _span = livelit_trace::span("engine.collect");
-        collect_with_fuel(&phi, &marked, fuel)?
+        collect_with_fuel(&phi, &program, fuel)?
     };
 
     // Final result by fill-and-resume (Sec. 4.3.2).
@@ -197,7 +141,6 @@ pub(crate) fn run_with_fuel_in(
     let mut output = EngineOutput {
         collection,
         result,
-        errors,
         views: BTreeMap::new(),
         view_errors: BTreeMap::new(),
     };
@@ -207,14 +150,8 @@ pub(crate) fn run_with_fuel_in(
 
 /// The full expansion of the document's program (Sec. 2.2's expansion
 /// toggle), with failing livelit invocations marked as in [`run`].
-///
-/// # Errors
-///
-/// See [`ExpandError`]; a program that [`run`] accepts always expands.
-pub fn expansion(registry: &LivelitRegistry, doc: &Document) -> Result<EExp, ExpandError> {
-    let phi = registry.phi();
-    let (marked, _) = mark_livelit_errors(&phi, &doc.full_program());
-    expand(&phi, &marked)
+pub fn expansion(registry: &LivelitRegistry, doc: &Document) -> EExp {
+    expand_marked(&registry.phi(), &doc.full_program()).0
 }
 
 /// Recomputes each livelit's view under its selected closure, in place.
@@ -240,7 +177,7 @@ pub(crate) fn recompute_views(
     retainer.begin_refresh();
     // Memo pass first: an instance whose key matches pays only the key
     // build (including the σ fingerprint — the change detection), never
-    // splice elaboration or view construction.
+    // splice evaluation or view construction.
     let mut misses: Vec<(HoleName, ViewKey)> = Vec::new();
     for u in doc.livelit_holes() {
         let Some(instance) = doc.instance(u) else {
@@ -253,32 +190,6 @@ pub(crate) fn recompute_views(
         }
         misses.push((u, key));
     }
-    // Prewarm the splice-result cache in one batch: every splice of every
-    // *missed* instance, under its selected closure. The batch evaluates
-    // each distinct cache miss once; the per-splice `eval_splice` calls
-    // the views make below then hit the cache.
-    let mut jobs: Vec<SpliceJob<'_>> = Vec::new();
-    for (u, _) in &misses {
-        let Some(instance) = doc.instance(*u) else {
-            continue;
-        };
-        let envs = output.collection.envs_for(*u);
-        if envs.is_empty() {
-            continue;
-        }
-        let env_index = instance.selected_env.min(envs.len() - 1);
-        for (_r, info) in instance.store().iter() {
-            jobs.push(SpliceJob {
-                u: *u,
-                env_index,
-                splice: &info.content,
-                ty: &info.ty,
-            });
-        }
-    }
-    // Errors are cached per splice and resurface identically when the
-    // view asks for that splice, so the batch's own slots are not needed.
-    let _ = eval_splices(&phi, &output.collection, &jobs);
     for (u, key) in misses {
         let Some(instance) = doc.instance(u) else {
             continue;

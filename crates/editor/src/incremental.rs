@@ -21,9 +21,8 @@
 
 use hazel_lang::eval::{EvalError, DEFAULT_FUEL};
 use hazel_lang::store::{TermId, TermStore};
-use hazel_lang::unexpanded::LivelitAp;
-use livelit_core::cc::{cc_expand, CollectError, Omega};
-use livelit_core::expansion::expand_invocation;
+use livelit_core::cc::{CollectError, Omega};
+use livelit_core::expansion::{expand_invocation, ExpandError};
 
 use hazel_lang::ident::HoleName;
 
@@ -97,25 +96,28 @@ impl IncrementalEngine {
         let current_skeleton = self.store.intern_uexp_skeleton(&program);
         self.store.report_trace_counters();
 
-        let reusable = self
-            .cached
-            .as_ref()
-            .is_some_and(|c| c.skeleton == current_skeleton && c.output.errors.is_empty());
+        let reusable = self.cached.as_ref().is_some_and(|c| {
+            c.skeleton == current_skeleton && c.output.collection.errors.is_empty()
+        });
 
         if reusable {
             // Fast path: rebuild Ω from the current models (premises 1–5 of
             // ELivelit per invocation), then continue the cached run from
-            // its evaluated cc-expansion, updating it in place.
+            // its evaluated cc-expansion, updating it in place. The cached
+            // run marked nothing, so every invocation has an Ω entry.
             let phi = registry.phi();
-            let mut omega = Omega::default();
-            let omega_result = {
+            let omega = {
                 let _span = livelit_trace::span("engine.omega");
-                cc_expand(&phi, &program, &mut omega)
+                program
+                    .livelit_aps()
+                    .into_iter()
+                    .map(|ap| Ok((ap.hole, expand_invocation(&phi, ap)?.elab)))
+                    .collect::<Result<Omega, ExpandError>>()
             };
             // An error means a model change broke expansion (e.g. an
             // ill-typed model): fall through to the full path, which marks
             // the error.
-            if omega_result.is_ok() {
+            if let Ok(omega) = omega {
                 let output = &mut self.cached.as_mut().expect("checked above").output;
                 if let Err(e) = fill_and_resume(output, omega) {
                     // The cached run is partly updated: drop it, so the
@@ -188,17 +190,4 @@ fn fill_and_resume(output: &mut EngineOutput, omega: Omega) -> Result<(), EvalEr
     output.collection.refresh_after_omega_change(omega)?;
     output.result = output.collection.resume_result()?;
     Ok(())
-}
-
-/// Verifies an invocation's premises without building anything — used by
-/// tests to characterize the fast path's per-invocation cost.
-///
-/// # Errors
-///
-/// See [`livelit_core::expansion::ExpandError`].
-pub fn revalidate_invocation(
-    registry: &LivelitRegistry,
-    ap: &LivelitAp,
-) -> Result<(), livelit_core::expansion::ExpandError> {
-    expand_invocation(&registry.phi(), ap).map(|_| ())
 }

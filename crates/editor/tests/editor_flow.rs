@@ -111,7 +111,7 @@ fn fill_hole_interact_and_evaluate() {
     // Pipeline: result = 0 + 5.
     let out = run(&reg, &doc).unwrap();
     assert_eq!(out.result, IExp::Int(5));
-    assert!(out.errors.is_empty());
+    assert!(out.collection.errors.is_empty());
     assert_eq!(out.collection.ty, Typ::Int);
 
     // Click the +10 button twice; the model — and therefore the program
@@ -145,9 +145,9 @@ fn abbreviation_supplies_parameters() {
 fn unknown_livelit_is_marked_not_fatal() {
     let reg = registry();
     // A program whose livelit invocation names an unregistered livelit
-    // cannot even instantiate — simulate by running the engine on a
-    // document whose program contains a ghost invocation by bypassing
-    // instantiation: mark_livelit_errors handles it.
+    // cannot even instantiate — simulate by collecting closures on a
+    // program that contains a ghost invocation directly: collection marks
+    // it.
     let phi = reg.phi();
     let program = UExp::Bin(
         hazel_lang::BinOp::Add,
@@ -159,11 +159,10 @@ fn unknown_livelit_is_marked_not_fatal() {
         }))),
         Box::new(UExp::Int(1)),
     );
-    let (marked, errors) = hazel_editor::engine::mark_livelit_errors(&phi, &program);
-    assert_eq!(errors.len(), 1);
-    assert_eq!(errors[0].hole, HoleName(3));
+    let collection = livelit_core::cc::collect(&phi, &program).unwrap();
+    assert_eq!(collection.errors.len(), 1);
+    assert_eq!(collection.errors[0].hole, HoleName(3));
     // The ghost became a hole; the program still evaluates around it.
-    let collection = livelit_core::cc::collect(&phi, &marked).unwrap();
     let result = collection.resume_result().unwrap();
     assert!(hazel_lang::final_form::is_indet(&result));
 }
@@ -251,7 +250,7 @@ fn expansion_inspection_toggle() {
     let mut doc = Document::new(&reg, vec![], program_with_hole()).unwrap();
     doc.fill_hole_with_livelit(&reg, HoleName(0), "$percent", vec![])
         .unwrap();
-    let expansion = hazel_editor::expansion(&reg, &doc).unwrap();
+    let expansion = hazel_editor::expansion(&reg, &doc);
     let printed = hazel_lang::pretty::print_eexp(&expansion, 100);
     // The expansion shows the parameterized expansion applied to 0 and 100.
     assert!(printed.contains("fun min : Int"), "expansion: {printed}");

@@ -134,7 +134,7 @@ fn bad_declarations_are_reported() {
     "#;
     let (registry, doc) = open_module(LivelitRegistry::new(), src).unwrap();
     let out = hazel_editor::run(&registry, &doc).unwrap();
-    assert_eq!(out.errors.len(), 1, "decode failure marked");
+    assert_eq!(out.collection.errors.len(), 1, "decode failure marked");
     assert!(hazel_lang::final_form::is_indet(&out.result));
 }
 

@@ -24,8 +24,22 @@ fn model_edit_does_not_invalidate_sibling_invocations() {
     let mut engine = IncrementalEngine::new();
 
     // Warm run: populates the expansion cache for all three invocations.
-    let out = engine.run(&registry, &doc).unwrap();
-    assert_eq!(out.result, IExp::Int(10 + 20 + 30));
+    // The full run expands each invocation once: closure collection's
+    // cc-expansion also marks failures, so no other pass runs the ELivelit
+    // premises.
+    let full_sink = StatsSink::new();
+    let full_tracer = Tracer::deterministic(full_sink.clone());
+    {
+        let _session = install(&full_tracer);
+        let out = engine.run(&registry, &doc).unwrap();
+        assert_eq!(out.result, IExp::Int(10 + 20 + 30));
+    }
+    assert_eq!(engine.full_runs, 1);
+    assert_eq!(
+        full_sink.snapshot().counter(Counter::ExpansionsPerformed),
+        3,
+        "one expansion per invocation in a full run"
+    );
 
     // Drag slider 0 only, and count cache activity across the re-run.
     doc.dispatch(HoleName(0), &iv::record([("set", iv::int(55))]))

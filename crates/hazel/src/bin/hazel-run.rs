@@ -65,7 +65,7 @@ fn main() -> ExitCode {
         }
     };
 
-    for err in &out.errors {
+    for err in &out.collection.errors {
         eprintln!("warning: livelit at {} marked: {}", err.hole, err.error);
     }
     if show_session {
@@ -77,13 +77,7 @@ fn main() -> ExitCode {
         println!("{}", hazel::editor::render_dashboard(&registry, &doc, &out));
     }
     if show_expansion {
-        let expansion = match hazel::editor::expansion(&registry, &doc) {
-            Ok(expansion) => expansion,
-            Err(e) => {
-                eprintln!("hazel-run: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let expansion = hazel::editor::expansion(&registry, &doc);
         println!("== expansion ==");
         println!("{}\n", hazel::lang::pretty::print_eexp(&expansion, 80));
     }

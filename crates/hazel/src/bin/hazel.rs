@@ -369,7 +369,7 @@ const SERVE_CAPTURE_EVENTS: usize = 4096;
 /// SECS seconds.
 fn serve(args: &[String]) -> ExitCode {
     use hazel::server::transport::{
-        signal, transport_error_line, BindTo, Transport, TransportConfig,
+        self, signal, transport_error_line, BindTo, Transport, TransportConfig,
     };
     use hazel::server::wire::{FrameError, LineReader};
 
@@ -503,6 +503,10 @@ fn serve(args: &[String]) -> ExitCode {
     }
 
     if stdio {
+        // Serving stays on this thread: a second thread would make the
+        // process multi-threaded, and every allocation would then take
+        // the allocator's locking path.
+        transport::grow_main_stack();
         let stdin = std::io::stdin();
         let mut out = std::io::stdout().lock();
         // The same framer the socket transport uses: LF or CRLF, a

@@ -43,7 +43,7 @@
 //! // Fill the hole with the $color livelit and run the live pipeline.
 //! doc.fill_hole_with_livelit(&registry, hazel::lang::HoleName(0), "$color", vec![])?;
 //! let out = hazel::editor::run(&registry, &doc)?;
-//! assert!(out.errors.is_empty());
+//! assert!(out.collection.errors.is_empty());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -17,6 +17,14 @@ use crate::typ::Typ;
 use crate::unexpanded::{LivelitAp, Splice, UCaseArm, UExp};
 use crate::value::eexp_to_iexp_value;
 
+/// How deeply input may nest: the parser rejects source that nests deeper,
+/// and `hazel serve` rejects a document (its program with every prelude
+/// `def` folded in as a `let`) that does. Every pass over a program
+/// recurses, so this bounds the stack any input can take. At this depth
+/// the slowest-growing pass measured, nested livelit splices, uses about a
+/// third of the serving threads' stack.
+pub const MAX_DEPTH: usize = 512;
+
 /// A parse error with source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -55,6 +63,7 @@ pub fn parse_uexp(src: &str) -> Result<UExp, ParseError> {
         tokens,
         pos: 0,
         auto_holes: 0,
+        depth: 0,
     };
     let e = p.expr()?;
     p.expect_eof()?;
@@ -88,6 +97,7 @@ pub fn parse_typ(src: &str) -> Result<Typ, ParseError> {
         tokens,
         pos: 0,
         auto_holes: 0,
+        depth: 0,
     };
     let t = p.typ()?;
     p.expect_eof()?;
@@ -331,6 +341,11 @@ struct Parser {
     tokens: Vec<SpannedTok>,
     pos: usize,
     auto_holes: u64,
+    /// The current nesting level, at most [`MAX_DEPTH`]. Every nested
+    /// expression or type counts, and so does every operator of a
+    /// left-associative chain, which nests the chain so far one level
+    /// deeper without recursing.
+    depth: usize,
 }
 
 impl Parser {
@@ -423,9 +438,30 @@ impl Parser {
         u
     }
 
+    /// Enters one more nesting level, failing past [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("input nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses with `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: fn(&mut Parser) -> Result<T, ParseError>) -> Result<T, ParseError> {
+        self.deeper()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     // -- types ------------------------------------------------------------
 
     fn typ(&mut self) -> Result<Typ, ParseError> {
+        self.nested(Parser::typ_arrow)
+    }
+
+    fn typ_arrow(&mut self) -> Result<Typ, ParseError> {
         let lhs = self.typ_atom()?;
         if self.eat_op("->") {
             let rhs = self.typ()?;
@@ -547,6 +583,10 @@ impl Parser {
     // -- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<UExp, ParseError> {
+        self.nested(Parser::expr_form)
+    }
+
+    fn expr_form(&mut self) -> Result<UExp, ParseError> {
         match self.peek().clone() {
             Tok::Ident(s) => match s.as_str() {
                 "fun" => {
@@ -662,36 +702,53 @@ impl Parser {
     fn expr_op(&mut self) -> Result<UExp, ParseError> {
         let lhs = self.expr_or()?;
         if self.peek() == &Tok::Op("|>") {
+            let depth = self.depth;
             let mut acc = lhs;
             while self.eat_op("|>") {
+                self.deeper()?;
                 let f = self.expr_or()?;
                 acc = UExp::Ap(Box::new(f), Box::new(acc));
             }
+            self.depth = depth;
             Ok(acc)
         } else if self.eat_op("<|") {
-            let rhs = self.expr_op()?;
+            let rhs = self.nested(Parser::expr_op)?;
             Ok(UExp::Ap(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
         }
     }
 
-    fn expr_or(&mut self) -> Result<UExp, ParseError> {
-        let mut lhs = self.expr_and()?;
-        while self.eat_op("||") {
-            let rhs = self.expr_and()?;
-            lhs = UExp::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    /// A left-associative chain of the binary operators `op` recognizes,
+    /// between `operand`s. Each operator nests the chain so far one level
+    /// deeper.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Parser) -> Result<UExp, ParseError>,
+        op: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<UExp, ParseError> {
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
+        while let Some(op) = op(self.peek()) {
+            self.bump();
+            self.deeper()?;
+            let rhs = operand(self)?;
+            lhs = UExp::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
+    fn expr_or(&mut self) -> Result<UExp, ParseError> {
+        self.chain(Parser::expr_and, |t| {
+            (t == &Tok::Op("||")).then_some(BinOp::Or)
+        })
+    }
+
     fn expr_and(&mut self) -> Result<UExp, ParseError> {
-        let mut lhs = self.expr_cmp()?;
-        while self.eat_op("&&") {
-            let rhs = self.expr_cmp()?;
-            lhs = UExp::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Parser::expr_cmp, |t| {
+            (t == &Tok::Op("&&")).then_some(BinOp::And)
+        })
     }
 
     fn expr_cmp(&mut self) -> Result<UExp, ParseError> {
@@ -723,10 +780,10 @@ impl Parser {
     fn expr_cons(&mut self) -> Result<UExp, ParseError> {
         let lhs = self.expr_add()?;
         if self.eat_op("::") {
-            let rhs = self.expr_cons()?;
+            let rhs = self.nested(Parser::expr_cons)?;
             Ok(UExp::Cons(Box::new(lhs), Box::new(rhs)))
         } else if self.eat_op("^") {
-            let rhs = self.expr_cons()?;
+            let rhs = self.nested(Parser::expr_cons)?;
             Ok(UExp::Bin(BinOp::Concat, Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -734,45 +791,23 @@ impl Parser {
     }
 
     fn expr_add(&mut self) -> Result<UExp, ParseError> {
-        let mut lhs = self.expr_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Op("+") => Some(BinOp::Add),
-                Tok::Op("-") => Some(BinOp::Sub),
-                Tok::Op("+.") => Some(BinOp::FAdd),
-                Tok::Op("-.") => Some(BinOp::FSub),
-                _ => None,
-            };
-            match op {
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.expr_mul()?;
-                    lhs = UExp::Bin(op, Box::new(lhs), Box::new(rhs));
-                }
-                None => return Ok(lhs),
-            }
-        }
+        self.chain(Parser::expr_mul, |t| match t {
+            Tok::Op("+") => Some(BinOp::Add),
+            Tok::Op("-") => Some(BinOp::Sub),
+            Tok::Op("+.") => Some(BinOp::FAdd),
+            Tok::Op("-.") => Some(BinOp::FSub),
+            _ => None,
+        })
     }
 
     fn expr_mul(&mut self) -> Result<UExp, ParseError> {
-        let mut lhs = self.expr_app()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Op("*") => Some(BinOp::Mul),
-                Tok::Op("/") => Some(BinOp::Div),
-                Tok::Op("*.") => Some(BinOp::FMul),
-                Tok::Op("/.") => Some(BinOp::FDiv),
-                _ => None,
-            };
-            match op {
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.expr_app()?;
-                    lhs = UExp::Bin(op, Box::new(lhs), Box::new(rhs));
-                }
-                None => return Ok(lhs),
-            }
-        }
+        self.chain(Parser::expr_app, |t| match t {
+            Tok::Op("*") => Some(BinOp::Mul),
+            Tok::Op("/") => Some(BinOp::Div),
+            Tok::Op("*.") => Some(BinOp::FMul),
+            Tok::Op("/.") => Some(BinOp::FDiv),
+            _ => None,
+        })
     }
 
     fn expr_app(&mut self) -> Result<UExp, ParseError> {
@@ -813,11 +848,14 @@ impl Parser {
                 _ => {}
             }
         }
+        let depth = self.depth;
         let mut lhs = self.expr_proj()?;
         while self.starts_atom() {
+            self.deeper()?;
             let arg = self.expr_proj()?;
             lhs = UExp::Ap(Box::new(lhs), Box::new(arg));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -831,12 +869,15 @@ impl Parser {
     }
 
     fn expr_proj(&mut self) -> Result<UExp, ParseError> {
+        let depth = self.depth;
         let mut e = self.atom()?;
         while self.peek() == &Tok::Op(".") && matches!(self.peek2(), Tok::Ident(_)) {
             self.bump();
+            self.deeper()?;
             let l = self.label()?;
             e = UExp::Proj(Box::new(e), l);
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -1025,6 +1066,7 @@ pub(crate) fn parse_module_items(src: &str) -> Result<crate::module::Module, Par
         tokens,
         pos: 0,
         auto_holes: 0,
+        depth: 0,
     };
     let mut livelits = Vec::new();
     let mut defs = Vec::new();

@@ -390,6 +390,31 @@ impl UExp {
         HoleName(self.hole_names().iter().map(|u| u.0 + 1).max().unwrap_or(0))
     }
 
+    /// The nesting depth: the number of nodes on the longest path from this
+    /// node down to a leaf, splices included.
+    pub fn depth(&self) -> usize {
+        use UExp::*;
+        1 + match self {
+            Var(_) | Int(_) | Float(_) | Bool(_) | Str(_) | Unit | Nil(_) | EmptyHole(_) => 0,
+            Lam(_, _, e)
+            | Fix(_, _, e)
+            | Proj(e, _)
+            | Inj(_, _, e)
+            | Roll(_, e)
+            | Unroll(e)
+            | Asc(e, _)
+            | NonEmptyHole(_, e) => e.depth(),
+            Ap(a, b) | Bin(_, a, b) | Cons(a, b) | Let(_, _, a, b) => a.depth().max(b.depth()),
+            If(a, b, c) | ListCase(a, b, _, _, c) => a.depth().max(b.depth()).max(c.depth()),
+            Tuple(fields) => fields.iter().map(|(_, e)| e.depth()).max().unwrap_or(0),
+            Case(scrut, arms) => arms
+                .iter()
+                .map(|arm| arm.body.depth())
+                .fold(scrut.depth(), usize::max),
+            Livelit(ap) => ap.splices.iter().map(|s| s.exp.depth()).max().unwrap_or(0),
+        }
+    }
+
     /// The number of AST nodes (splices included).
     pub fn size(&self) -> usize {
         let mut n = 0;

@@ -55,6 +55,7 @@ pub fn def_for(livelit: &Arc<dyn Livelit>) -> LivelitDef {
 }
 
 /// A live livelit instance at one invocation site.
+#[derive(Clone)]
 pub struct Instance {
     livelit: Arc<dyn Livelit>,
     hole: HoleName,

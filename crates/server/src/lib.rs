@@ -78,7 +78,7 @@ use hazel_editor::{
 use hazel_lang::elab::elab_syn;
 use hazel_lang::eval::{eval_traced, DEFAULT_FUEL};
 use hazel_lang::ident::{HoleName, LivelitName};
-use hazel_lang::parse::parse_uexp;
+use hazel_lang::parse::{parse_uexp, MAX_DEPTH};
 use hazel_lang::pretty::print_iexp;
 use hazel_lang::typing::Ctx;
 use hazel_lang::IExp;
@@ -645,6 +645,7 @@ impl Server {
         let registry = (self.make_registry)();
         let (registry, doc) = open_module(registry, &source)
             .map_err(|e| RequestError::new(ErrorKind::Doc, e.to_string()))?;
+        within_depth_bound(&doc)?;
         let mut engine = IncrementalEngine::new();
         let views = engine
             .run(&registry, &doc)
@@ -686,8 +687,24 @@ impl Server {
             .get("edit")
             .ok_or_else(|| RequestError::new(ErrorKind::Protocol, "missing \"edit\" object"))?;
         let action = parse_edit(edit, &session.registry)?;
-        apply_action(&session.registry, &mut session.doc, &action)
-            .map_err(|e| RequestError::new(ErrorKind::Doc, e.to_string()))?;
+        // An edit that inserts code from the request could nest the
+        // document past the bound; it applies to a copy, so a refused one
+        // leaves the session unchanged.
+        let inserts_code = matches!(
+            action,
+            EditAction::EditSplice { .. } | EditAction::FillHole { .. }
+        );
+        let mut copy = inserts_code.then(|| session.doc.clone());
+        apply_action(
+            &session.registry,
+            copy.as_mut().unwrap_or(&mut session.doc),
+            &action,
+        )
+        .map_err(|e| RequestError::new(ErrorKind::Doc, e.to_string()))?;
+        if let Some(doc) = copy {
+            within_depth_bound(&doc)?;
+            session.doc = doc;
+        }
         Ok(obj([("ok", Json::Bool(true)), ("op", jstr("edit"))]))
     }
 
@@ -749,7 +766,12 @@ impl Server {
             .map_err(|e| RequestError::new(ErrorKind::Engine, e.to_string()))?;
         let views = output.views.clone();
         let result_text = print_iexp(&output.result, usize::MAX);
-        let marked: Vec<String> = output.errors.iter().map(|e| e.error.to_string()).collect();
+        let marked: Vec<String> = output
+            .collection
+            .errors
+            .iter()
+            .map(|e| e.error.to_string())
+            .collect();
         let view_errors: Vec<(HoleName, String)> = output
             .view_errors
             .iter()
@@ -1286,6 +1308,20 @@ fn edit_field_str<'a>(edit: &'a Json, key: &'static str) -> Result<&'a str, Requ
     edit.get(key)
         .and_then(Json::as_str)
         .ok_or_else(|| RequestError::new(ErrorKind::Protocol, format!("missing string {key:?}")))
+}
+
+/// Refuses a document that nests deeper than [`MAX_DEPTH`]: every pass
+/// over it recurses, and the serving threads' stacks are sized for the
+/// bound.
+fn within_depth_bound(doc: &Document) -> Result<(), RequestError> {
+    let depth = doc.depth();
+    if depth > MAX_DEPTH {
+        return Err(RequestError::new(
+            ErrorKind::Doc,
+            format!("document nests {depth} levels deep, over the bound of {MAX_DEPTH}"),
+        ));
+    }
+    Ok(())
 }
 
 fn parse_uexp_field(src: &str, what: &str) -> Result<hazel_lang::unexpanded::UExp, RequestError> {

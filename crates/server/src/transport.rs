@@ -52,6 +52,54 @@ use crate::observe::ServeMetrics;
 use crate::wire::{FrameError, LineReader};
 use crate::{error_reply, ErrorKind, RequestError, Server};
 
+/// The stack of every thread that serves requests: each socket handler,
+/// and the main thread that `hazel serve --stdio` serves on (see
+/// [`grow_main_stack`]). Every pass over a program recurses, so this is
+/// what [`hazel_lang::parse::MAX_DEPTH`] is measured against. In a release
+/// build, input at that bound takes at most about a third of it. An
+/// unoptimized build takes about nine times the stack per level, so it
+/// gets eight times the stack.
+pub const SERVE_STACK_BYTES: usize = if cfg!(debug_assertions) {
+    64 << 20
+} else {
+    8 << 20
+};
+
+/// Lets the main thread's stack grow to [`SERVE_STACK_BYTES`]. On Linux
+/// the main thread's stack grows on demand up to the soft `RLIMIT_STACK`,
+/// so raising that limit, never past the hard one, is enough.
+#[cfg(target_os = "linux")]
+pub fn grow_main_stack() {
+    use std::os::raw::{c_int, c_ulong};
+
+    /// `struct rlimit`: `rlim_t` is an `unsigned long` on Linux.
+    #[repr(C)]
+    struct RLimit {
+        cur: c_ulong,
+        max: c_ulong,
+    }
+    extern "C" {
+        fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
+        fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+    }
+    const RLIMIT_STACK: c_int = 3;
+
+    let want = c_ulong::try_from(SERVE_STACK_BYTES).unwrap_or(c_ulong::MAX);
+    let mut limit = RLimit { cur: 0, max: 0 };
+    // SAFETY: `limit` is a valid `struct rlimit` for getrlimit to write
+    // and setrlimit to read.
+    unsafe {
+        if getrlimit(RLIMIT_STACK, &mut limit) == 0 && limit.cur < want {
+            limit.cur = want.min(limit.max);
+            setrlimit(RLIMIT_STACK, &limit);
+        }
+    }
+}
+
+/// Elsewhere the main thread keeps the stack the platform gave it.
+#[cfg(not(target_os = "linux"))]
+pub fn grow_main_stack() {}
+
 /// How often blocked reads and the accept loop wake to poll the drain
 /// flag — the upper bound on how stale a shutdown request can go
 /// unnoticed.
@@ -339,21 +387,34 @@ impl Transport {
                         continue;
                     }
                     shared.conns.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&shared);
-                    handles.push(std::thread::spawn(move || {
-                        let end = serve_conn(&shared, conn);
-                        if end == ConnEnd::Dropped {
-                            livelit_trace::count(Counter::ServeConnsDropped, 1);
-                            shared.dropped.fetch_add(1, Ordering::Relaxed);
+                    let handler = Arc::clone(&shared);
+                    let spawned = std::thread::Builder::new()
+                        .stack_size(SERVE_STACK_BYTES)
+                        .spawn(move || {
+                            let end = serve_conn(&handler, conn);
+                            if end == ConnEnd::Dropped {
+                                livelit_trace::count(Counter::ServeConnsDropped, 1);
+                                handler.dropped.fetch_add(1, Ordering::Relaxed);
+                                if let Some(m) = &handler.metrics {
+                                    m.conn_dropped();
+                                }
+                            }
+                            handler.conns.fetch_sub(1, Ordering::SeqCst);
+                            if let Some(m) = &handler.metrics {
+                                m.conn_closed();
+                            }
+                        });
+                    match spawned {
+                        Ok(handle) => handles.push(handle),
+                        // No thread to serve it (out of threads or memory):
+                        // the connection closes unserved.
+                        Err(_) => {
+                            shared.conns.fetch_sub(1, Ordering::SeqCst);
                             if let Some(m) = &shared.metrics {
-                                m.conn_dropped();
+                                m.conn_closed();
                             }
                         }
-                        shared.conns.fetch_sub(1, Ordering::SeqCst);
-                        if let Some(m) = &shared.metrics {
-                            m.conn_closed();
-                        }
-                    }));
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

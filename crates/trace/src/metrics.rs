@@ -111,10 +111,10 @@ impl Phase {
         Some(match name {
             "parse" | "parse.module" => Phase::Parse,
             "elab.syn" | "elab.ana" => Phase::Elaborate,
-            "engine.mark" | "expand.typed" => Phase::Typecheck,
+            "expand.typed" => Phase::Typecheck,
             "engine.collect" | "engine.omega" | "engine.resume" | "cc.collect" | "cc.expand"
             | "cc.eval" | "cc.resume_result" | "cc.resume_envs" => Phase::Collect,
-            "live.eval_splice" | "live.eval_batch" => Phase::EvalSplices,
+            "live.eval_splice" => Phase::EvalSplices,
             "engine.views" | "mvu.diff" => Phase::RenderDiff,
             _ if name.starts_with("analysis.") => Phase::Analyze,
             _ => return None,

@@ -130,7 +130,11 @@ fn derived_livelit_through_the_full_editor() {
     )
     .unwrap();
     let out = hazel::editor::run(&registry, &doc).unwrap();
-    assert!(out.errors.is_empty(), "{:?}", out.errors);
+    assert!(
+        out.collection.errors.is_empty(),
+        "{:?}",
+        out.collection.errors
+    );
     assert_eq!(
         out.result.field(&Label::new("y")).and_then(IExp::as_float),
         Some(4.5)

@@ -241,9 +241,11 @@ fn cc_expansion_preserves_the_type() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
         let (u, ty) = g.program(&phi);
-        let mut omega = hazel::core::cc::Omega::default();
-        let e_cc = hazel::core::cc::cc_expand(&phi, &u, &mut omega)
-            .expect("cc-expansion succeeds on well-typed programs");
+        let (e_cc, omega, errors) = hazel::core::cc::cc_expand(&phi, &u);
+        assert!(
+            errors.is_empty(),
+            "seed {seed}: cc-expansion marks nothing on well-typed programs"
+        );
         let (cc_ty, _) = syn(&Ctx::empty(), &e_cc).expect("cc-expansion types");
         assert_eq!(cc_ty, ty, "seed {seed}");
         // Ω has exactly one entry per livelit invocation.

@@ -80,7 +80,11 @@ fn fig_1c_grading_end_to_end() {
     .unwrap();
 
     let out = run(&registry, &doc).unwrap();
-    assert!(out.errors.is_empty(), "{:?}", out.errors);
+    assert!(
+        out.collection.errors.is_empty(),
+        "{:?}",
+        out.collection.errors
+    );
     // Ada: (90 + 92)/2 = 91 ⇒ A at default cutoffs; Bob: 65 ⇒ D.
     assert_eq!(out.result.as_str(), Some("Ada:A;Bob:D;"));
 
@@ -121,7 +125,11 @@ fn fig_2_image_filters_end_to_end() {
     .unwrap();
     let doc = Document::new(&registry, vec![], program).unwrap();
     let out = run(&registry, &doc).unwrap();
-    assert!(out.errors.is_empty(), "{:?}", out.errors);
+    assert!(
+        out.collection.errors.is_empty(),
+        "{:?}",
+        out.collection.errors
+    );
 
     // Two closures — one per application of the preset.
     assert_eq!(out.collection.envs_for(HoleName(0)).len(), 2);
@@ -165,7 +173,7 @@ fn sec_2_2_expansion_shape() {
     )
     .unwrap();
 
-    let expansion = hazel::editor::expansion(&registry, &doc).unwrap();
+    let expansion = hazel::editor::expansion(&registry, &doc);
     let text = hazel::lang::pretty::print_eexp(&expansion, 10_000);
     // The client's expression appears verbatim as a function argument.
     assert!(text.contains("q1_max +. 24.0 +. 20.0"), "{text}");
@@ -222,10 +230,9 @@ fn engine_error_marking_keeps_program_alive() {
         hole: HoleName(1),
     }));
     let program = UExp::Bin(BinOp::Add, Box::new(bad), Box::new(good));
-    let (marked, errors) = hazel::editor::engine::mark_livelit_errors(&phi, &program);
-    assert_eq!(errors.len(), 1);
-    assert_eq!(errors[0].hole, HoleName(0));
-    let collection = hazel::core::collect(&phi, &marked).unwrap();
+    let collection = hazel::core::collect(&phi, &program).unwrap();
+    assert_eq!(collection.errors.len(), 1);
+    assert_eq!(collection.errors[0].hole, HoleName(0));
     let result = collection.resume_result().unwrap();
     assert!(hazel::lang::final_form::is_indet(&result));
     // The good livelit's value (7) is present in the stuck sum.
@@ -233,6 +240,52 @@ fn engine_error_marking_keeps_program_alive() {
         IExp::Bin(BinOp::Add, _, rhs) => assert_eq!(*rhs, IExp::Int(7)),
         other => panic!("unexpected {other:?}"),
     }
+}
+
+#[test]
+fn nested_failures_are_marked_in_post_order() {
+    // A failing invocation (hole 1) inside a failing invocation's splice
+    // (hole 0), and a failing one (hole 3) inside a succeeding one's
+    // splice (hole 2). Failures inside a splice come before the
+    // invocation's own; the failing outer invocation takes its splices
+    // with it, so only hole 2 reaches Ω.
+    use hazel::core::expansion::{ExpandError, MarkedError};
+
+    let phi = test_phi();
+    let program = hazel::lang::parse::parse_uexp(
+        "$sum2@0{true}($sum2@1{false}(1 : Int; 2 : Int) : Int; 3 : Int) \
+         + $sum2@2{()}($ghost@3{()}(9 : Int) : Int; 4 : Int)",
+    )
+    .unwrap();
+    let model_type = |hole| MarkedError {
+        hole: HoleName(hole),
+        error: ExpandError::ModelType {
+            livelit: LivelitName::new("$sum2"),
+            expected: Typ::Unit,
+        },
+    };
+    let ghost = MarkedError {
+        hole: HoleName(3),
+        error: ExpandError::UnboundLivelit(LivelitName::new("$ghost")),
+    };
+    let expected = vec![model_type(1), model_type(0), ghost];
+    let collection = hazel::core::collect(&phi, &program).unwrap();
+    assert_eq!(collection.errors, expected);
+    assert_eq!(collection.omega.holes().collect::<Vec<_>>(), [HoleName(2)]);
+    let hole = |u| Box::new(IExp::EmptyHole(HoleName(u), Sigma::empty()));
+    let stuck = IExp::Bin(
+        BinOp::Add,
+        hole(0),
+        Box::new(IExp::Bin(BinOp::Add, hole(3), Box::new(IExp::Int(4)))),
+    );
+    assert_eq!(collection.resume_result().unwrap(), stuck);
+
+    // The display expansion marks the same failures the same way.
+    let (expanded, marked) = hazel::core::expand_marked(&phi, &program);
+    assert_eq!(marked, expected);
+    let (d, _, _) = hazel::lang::elab::elab_syn(&Ctx::empty(), &expanded).unwrap();
+    let fuel = hazel::lang::eval::DEFAULT_FUEL;
+    assert_eq!(hazel::lang::eval::eval_traced(&d, fuel).unwrap(), stuck);
 }
 
 // ------------------------------------------------------------------------

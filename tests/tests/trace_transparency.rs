@@ -89,7 +89,7 @@ fn full_editor_pipeline_is_bit_identical_with_tracing_enabled() {
                 (
                     out.result.clone(),
                     out.collection.ty.clone(),
-                    out.errors.len(),
+                    out.collection.errors.len(),
                 )
             })
             .map_err(|e| e.to_string())
