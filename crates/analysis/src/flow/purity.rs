@@ -47,11 +47,6 @@ impl Purity {
     pub fn is_deterministic(self) -> bool {
         !matches!(self, Purity::Unknown)
     }
-
-    /// Whether the verdict was proven (rather than attested or absent).
-    pub fn is_proven(self) -> bool {
-        matches!(self, Purity::Pure | Purity::PureMayDiverge)
-    }
 }
 
 /// Infers the purity of `def`'s expansion function.

@@ -234,15 +234,6 @@ impl LivelitDef {
             ExpandFn::Native(_) => Ok(()),
         }
     }
-
-    /// The full splice type list for an invocation: parameters first, then
-    /// `n_model_splices` model-managed splices of the given types.
-    pub fn splice_typs<'a>(
-        &'a self,
-        model_splice_tys: impl IntoIterator<Item = &'a Typ>,
-    ) -> Vec<&'a Typ> {
-        self.param_tys.iter().chain(model_splice_tys).collect()
-    }
 }
 
 /// Cache key: definition identity, interned model, splice types — exactly

@@ -7,8 +7,8 @@
 //! - the initial model must be a *value* of `τ_model` (premise 2 of
 //!   `ELivelit` will re-check it at every invocation; declaration loading
 //!   evaluates the given expression to that value),
-//! - the expansion function must have type `τ_model → Exp` (Def. 4.3,
-//!   checked by [`LivelitCtx::define`]) under the string `Exp` scheme.
+//! - the expansion function must have type `τ_model → Exp` (Def. 4.3)
+//!   under the string `Exp` scheme.
 
 use std::fmt;
 
@@ -21,7 +21,7 @@ use hazel_lang::typ::Typ;
 use hazel_lang::typing::{Ctx, TypeError};
 use hazel_lang::value::value_has_typ;
 
-use crate::def::{LivelitCtx, LivelitDef};
+use crate::def::LivelitDef;
 use crate::encoding::exp_typ;
 
 /// A checked, loadable livelit declaration: the calculus-level definition
@@ -128,32 +128,10 @@ pub fn load_decl(decl: &LivelitDecl) -> Result<CheckedDecl, DeclError> {
     Ok(CheckedDecl { def, init_model })
 }
 
-/// Loads every declaration of a module into a livelit context.
-///
-/// # Errors
-///
-/// Returns the first failing declaration's error.
-pub fn load_decls(
-    decls: &[LivelitDecl],
-    phi: &mut LivelitCtx,
-) -> Result<Vec<CheckedDecl>, DeclError> {
-    let mut out = Vec::with_capacity(decls.len());
-    for decl in decls {
-        let checked = load_decl(decl)?;
-        phi.define(checked.def.clone())
-            .map_err(|error| DeclError::Type {
-                livelit: decl.name.clone(),
-                part: "expand",
-                error,
-            })?;
-        out.push(checked);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::def::LivelitCtx;
     use hazel_lang::module::parse_module;
 
     fn decl_from(src: &str) -> LivelitDecl {

@@ -165,14 +165,6 @@ impl IncrementalAnalyzer {
         self.cache.remove(&hole);
     }
 
-    /// Drops the whole cache (e.g. after the registry changed).
-    pub fn invalidate_all(&mut self) {
-        self.cache.clear();
-        self.flow.clear();
-        self.flow_prelude.clear();
-        self.flow_units.clear();
-    }
-
     /// The number of holes currently cached.
     pub fn cached_holes(&self) -> usize {
         self.cache.len()
@@ -189,14 +181,4 @@ pub fn flow_units(doc: &Document) -> Vec<FlowUnit> {
         .collect();
     units.push(FlowUnit::program(doc.program().clone()));
     units
-}
-
-/// The livelit invocations of a program, keyed by hole — a convenience
-/// for tools that want to correlate diagnostics with invocations.
-pub fn invocations_by_hole(program: &UExp) -> BTreeMap<HoleName, LivelitAp> {
-    program
-        .livelit_aps()
-        .into_iter()
-        .map(|ap| (ap.hole, ap.clone()))
-        .collect()
 }

@@ -42,6 +42,10 @@ fn refuses_over_bound_input(send: &mut dyn FnMut(&str) -> Option<String>) {
     let over_bound = def_chain(MAX_DEPTH - 1);
     assert_eq!(depth_of(&over_bound), MAX_DEPTH + 1);
     let parens = "(".repeat(MAX_DEPTH + 1) + "1" + &")".repeat(MAX_DEPTH + 1);
+    // `n` elements fold into `n` nested `Cons`es around a `Nil`; far more
+    // than the bound would overflow any serving stack.
+    let list = |n: usize| format!("[Int| {}1]", "1, ".repeat(n - 1));
+    let long_list = list(64 * MAX_DEPTH);
     let open =
         |s: &str, src: &str| format!(r#"{{"op":"open","session":"{s}","source":{}}}"#, json(src));
     let op = |op: &str, s: &str| format!(r#"{{"op":"{op}","session":"{s}"}}"#);
@@ -58,7 +62,11 @@ fn refuses_over_bound_input(send: &mut dyn FnMut(&str) -> Option<String>) {
         ),
         // Over the parser's bound, and over the document bound.
         (open("parens", &parens), r#"{"ok":false"#),
+        (open("list", &long_list), r#"{"ok":false"#),
         (open("chain", &over_bound), r#"{"ok":false"#),
+        // A list literal at the bound opens and renders.
+        (open("list", &list(MAX_DEPTH - 1)), r#"{"ok":true"#),
+        (op("render", "list"), r#""result":"1 :: 1 :: "#),
         // At the bound: opens, renders and analyzes.
         (open("edge", &at_bound), r#"{"ok":true"#),
         (op("render", "edge"), r#""result":"10""#),
@@ -68,6 +76,7 @@ fn refuses_over_bound_input(send: &mut dyn FnMut(&str) -> Option<String>) {
         // refused and leave the session as it was.
         (edit("d0 + 1"), r#"{"ok":false"#),
         (edit(&parens), r#"{"ok":false"#),
+        (edit(&long_list), r#"{"ok":false"#),
         (op("render", "edge"), r#""result":"10""#),
         (edit("100"), r#"{"ok":true"#),
         // The other session keeps serving.

@@ -7,7 +7,6 @@
 //! context. This module implements that judgement algorithmically; it is
 //! what the executable Preservation theorem (Thm. 4.2) checks against.
 
-use crate::ident::Label;
 use crate::internal::{IExp, Sigma};
 use crate::typ::Typ;
 use crate::typing::{Ctx, Delta, TypeError};
@@ -209,10 +208,6 @@ fn check_sigma(delta: &Delta, ctx: &Ctx, sigma: &Sigma, hole_ctx: &Ctx) -> Resul
 pub fn check_internal(delta: &Delta, ctx: &Ctx, d: &IExp, expected: &Typ) -> Result<(), TypeError> {
     check(delta, ctx, d, expected)
 }
-
-/// A label helper re-exported for tests.
-#[allow(dead_code)]
-fn _unused(_: &Label) {}
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,8 @@ use crate::value::eexp_to_iexp_value;
 /// How deeply input may nest: the parser rejects source that nests deeper,
 /// and `hazel serve` rejects a document (its program with every prelude
 /// `def` folded in as a `let`) that does. Every pass over a program
-/// recurses, so this bounds the stack any input can take. At this depth
+/// recurses, so this bounds the stack a pass over input can take; values
+/// that evaluation builds are not bounded by it. At this depth
 /// the slowest-growing pass measured, nested livelit splices, uses about a
 /// third of the serving threads' stack.
 pub const MAX_DEPTH: usize = 512;
@@ -342,9 +343,10 @@ struct Parser {
     pos: usize,
     auto_holes: u64,
     /// The current nesting level, at most [`MAX_DEPTH`]. Every nested
-    /// expression or type counts, and so does every operator of a
-    /// left-associative chain, which nests the chain so far one level
-    /// deeper without recursing.
+    /// expression or type counts, and so does every loop that builds a
+    /// nested node without recursing: each operator of a left-associative
+    /// chain nests the chain so far one level deeper, and each element of
+    /// a list literal after the first nests its `Cons` one level deeper.
     depth: usize,
 }
 
@@ -995,17 +997,22 @@ impl Parser {
                 ))
             }
             Tok::Op("[") => {
-                // List literal: [T| e1, e2, ...] or [T|].
+                // List literal: [T| e1, e2, ...] or [T|]. It folds into a
+                // `Cons` chain, so each element after the first nests one
+                // level deeper.
                 self.bump();
                 let t = self.typ()?;
                 self.expect_op("|")?;
+                let depth = self.depth;
                 let mut elems = Vec::new();
                 if self.peek() != &Tok::Op("]") {
                     elems.push(self.expr()?);
                     while self.eat_op(",") {
+                        self.deeper()?;
                         elems.push(self.expr()?);
                     }
                 }
+                self.depth = depth;
                 self.expect_op("]")?;
                 Ok(elems.into_iter().rev().fold(UExp::Nil(t), |acc, e| {
                     UExp::Cons(Box::new(e), Box::new(acc))
@@ -1406,5 +1413,43 @@ mod tests {
         let printed = print_eexp(&e, 80);
         let reparsed = parse_eexp(&printed).unwrap();
         assert_eq!(e, reparsed);
+    }
+
+    #[test]
+    fn every_nesting_form_is_bounded() {
+        // Each form nested `k` times: the parser refuses it or returns a
+        // term that nests at most `MAX_DEPTH` levels, and far past the
+        // bound it refuses. The stack has room for the unoptimized
+        // parser's recursion at the bound.
+        let check = || {
+            let forms: [fn(usize) -> String; 12] = [
+                |k| "(".repeat(k) + "1" + &")".repeat(k),
+                |k| "(1, ".repeat(k) + "1" + &")".repeat(k),
+                |k| format!("[Int| {}1]", "1, ".repeat(k)),
+                |k| "1".to_string() + &" + 1".repeat(k),
+                |k| "true".to_string() + &" || true".repeat(k),
+                |k| "f".to_string() + &" 1".repeat(k),
+                |k| "x".to_string() + &".a".repeat(k),
+                |k| "1".to_string() + &" |> f".repeat(k),
+                |k| "f <| ".repeat(k) + "1",
+                |k| "1 :: ".repeat(k) + "[Int|]",
+                |k| "let x = 1 in ".repeat(k) + "x",
+                |k| "$f{()}(".repeat(k) + "1" + &" : Int)".repeat(k),
+            ];
+            for form in forms {
+                for k in (MAX_DEPTH - 2..=MAX_DEPTH + 2).chain([4 * MAX_DEPTH]) {
+                    let src = form(k);
+                    match parse_uexp(&src) {
+                        Ok(e) => assert!(k < 4 * MAX_DEPTH && e.depth() <= MAX_DEPTH, "{src}"),
+                        Err(err) => assert!(err.message.contains("nests deeper"), "{err}"),
+                    }
+                }
+            }
+            let arrows = "Int -> ".repeat(4 * MAX_DEPTH) + "Int";
+            let err = parse_typ(&arrows).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{err}");
+        };
+        let big_stack = std::thread::Builder::new().stack_size(64 << 20);
+        big_stack.spawn(check).unwrap().join().unwrap();
     }
 }

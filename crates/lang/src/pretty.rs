@@ -210,12 +210,6 @@ fn parens_if(cond: bool, d: Doc) -> Doc {
     }
 }
 
-/// Pretty-prints a type. (Types are short; `Display` output is used
-/// directly.)
-pub fn print_typ(t: &Typ) -> String {
-    t.to_string()
-}
-
 /// Pretty-prints an unexpanded expression to the given width.
 pub fn print_uexp(e: &UExp, width: usize) -> String {
     uexp_doc(e, prec::EXPR).group().render(width)

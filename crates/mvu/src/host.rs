@@ -173,21 +173,6 @@ impl Instance {
         &self.model
     }
 
-    /// Replaces the model (used when loading a persisted program — only the
-    /// model is persisted, Sec. 3.2.5).
-    ///
-    /// # Errors
-    ///
-    /// Rejects models not of the declared model type.
-    pub fn set_model(&mut self, model: Model) -> Result<(), CmdError> {
-        let old = std::mem::replace(&mut self.model, model);
-        if let Err(e) = self.check_model() {
-            self.model = old;
-            return Err(e);
-        }
-        Ok(())
-    }
-
     /// The hole this invocation fills.
     pub fn hole(&self) -> HoleName {
         self.hole
