@@ -1171,86 +1171,163 @@ fn churn_plan(client: usize) -> (String, Vec<String>) {
     (session, lines)
 }
 
-/// Plays `lines[from..]` against `addr`, appending each reply to
-/// `transcript` and each request latency to `latency`. Returns the index
-/// of the first request that was NOT acknowledged (== `lines.len()` when
-/// everything was).
+/// One B19 client, played by [`play_churn`]: its plan, the first request
+/// not yet acknowledged, its replies so far and its connection.
 ///
 /// This is the reference client resume discipline: a clean EOF means the
 /// server drained — stop and resume against the restarted server from
 /// exactly the first unacknowledged request (the drain contract is that
 /// a request was processed and journaled iff its reply was delivered). A
-/// reset or refused connect, by contrast, is transient churn (a thousand
-/// clients flooding a backlog-128 listener), so the client reconnects
-/// with backoff and carries on.
-fn churn_client(
+/// reset or refused connect, by contrast, is transient churn, so the
+/// client reconnects after a pause and carries on.
+#[cfg(unix)]
+struct ChurnClient<'a> {
+    lines: &'a [String],
+    at: usize,
+    transcript: Vec<String>,
+    /// The connection and the bytes of a reply not yet complete.
+    conn: Option<(std::net::TcpStream, Vec<u8>)>,
+    sent: Instant,
+    retry_at: Instant,
+    reconnects: u32,
+    /// Plan finished, server drained, or out of reconnects: nothing more
+    /// to do in this server's life.
+    done: bool,
+}
+
+#[cfg(unix)]
+impl ChurnClient<'_> {
+    fn connect(&mut self, addr: std::net::SocketAddr) {
+        match std::net::TcpStream::connect(addr) {
+            Ok(stream) => {
+                // One segment per request: a line and its newline written
+                // separately would leave the newline behind Nagle's
+                // algorithm until the server's delayed ACK, tens of
+                // milliseconds per round trip on loopback. Failing to set
+                // the option costs only latency, never correctness.
+                let _ = stream.set_nodelay(true);
+                self.conn = Some((stream, Vec::new()));
+            }
+            Err(_) => self.back_off(),
+        }
+    }
+
+    /// Drops the connection after a reset or a refused connect and
+    /// schedules another try, giving up after 200: then the listener is
+    /// gone for good.
+    fn back_off(&mut self) {
+        self.conn = None;
+        self.reconnects += 1;
+        self.done = self.reconnects >= 200;
+        self.retry_at = Instant::now() + std::time::Duration::from_millis(25);
+    }
+
+    fn send(&mut self) {
+        use std::io::Write;
+        let Some((stream, _)) = &mut self.conn else {
+            return;
+        };
+        self.sent = Instant::now();
+        let request = format!("{}\n", self.lines[self.at]);
+        if stream.write_all(request.as_bytes()).is_err() {
+            // Reset mid-write: nothing past `at` was processed.
+            self.back_off();
+        }
+    }
+
+    /// Reads what the poll found, and on a whole reply records it and
+    /// sends the next request. `on_ack` sees every acknowledgment.
+    fn receive(&mut self, latency: &Histogram, on_ack: &mut impl FnMut()) {
+        use std::io::Read;
+        let Some((stream, pending)) = &mut self.conn else {
+            return;
+        };
+        let mut chunk = [0u8; 4096];
+        match stream.read(&mut chunk) {
+            // Clean EOF: the server drained gracefully. `at` was not
+            // processed; resume from it after the restart.
+            Ok(0) => {
+                self.conn = None;
+                self.done = true;
+            }
+            Ok(n) => {
+                pending.extend_from_slice(&chunk[..n]);
+                let Some(end) = pending.iter().position(|&b| b == b'\n') else {
+                    return;
+                };
+                latency.record(u64::try_from(self.sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                let reply = String::from_utf8_lossy(&pending[..end]).into_owned();
+                pending.drain(..=end);
+                self.transcript.push(reply);
+                self.at += 1;
+                on_ack();
+                if self.at == self.lines.len() {
+                    self.conn = None;
+                    self.done = true;
+                } else {
+                    self.send();
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Reset: transient connection churn, not a drain.
+            Err(_) => self.back_off(),
+        }
+    }
+}
+
+/// Plays every client against `addr` from this one thread with `poll(2)`
+/// until each is done. Each client has one request in flight at a time.
+/// Clients that are due connect first and only then send, so a burst of
+/// connects waits on the accept queue, not behind requests.
+#[cfg(unix)]
+fn play_churn(
     addr: std::net::SocketAddr,
-    lines: &[String],
-    from: usize,
-    transcript: &mut Vec<String>,
+    clients: &mut [ChurnClient<'_>],
     latency: &Histogram,
-    acked: &std::sync::atomic::AtomicU64,
-) -> usize {
-    use std::io::{BufRead, BufReader, Write};
-    let mut at = from;
-    let mut reconnects = 0u32;
-    'reconnect: while at < lines.len() {
-        let stream = loop {
-            match std::net::TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(_) if reconnects < 200 => {
-                    reconnects += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                }
-                // The listener is gone for good: the server drained.
-                Err(_) => return at,
-            }
-        };
-        // One segment per request: a line and its newline written
-        // separately would leave the newline behind Nagle's algorithm
-        // until the server's delayed ACK, tens of milliseconds per
-        // round trip on loopback. Failing to set the option costs only
-        // latency, never correctness.
-        let _ = stream.set_nodelay(true);
-        let Ok(mut writer) = stream.try_clone() else {
-            return at;
-        };
-        let mut reader = BufReader::new(stream);
-        while at < lines.len() {
-            let started = Instant::now();
-            let request = format!("{}\n", lines[at]);
-            if writer.write_all(request.as_bytes()).is_err() {
-                // Reset mid-write: nothing past `at` was processed; try
-                // again on a fresh connection.
-                reconnects += 1;
-                if reconnects >= 200 {
-                    return at;
-                }
-                continue 'reconnect;
-            }
-            let mut reply = String::new();
-            match reader.read_line(&mut reply) {
-                Ok(n) if n > 0 => {
-                    latency.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    transcript.push(reply.trim_end().to_string());
-                    acked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    at += 1;
-                }
-                // Clean EOF: the server drained gracefully. `at` was not
-                // processed; resume from it after the restart.
-                Ok(_) => return at,
-                // Reset: transient connection churn, not a drain.
-                Err(_) => {
-                    reconnects += 1;
-                    if reconnects >= 200 {
-                        return at;
-                    }
-                    continue 'reconnect;
-                }
+    mut on_ack: impl FnMut(),
+) {
+    use hazel::server::transport::{poll, PollFd};
+    loop {
+        let now = Instant::now();
+        let due: Vec<usize> = (0..clients.len())
+            .filter(|&i| {
+                let c = &clients[i];
+                !c.done && c.conn.is_none() && c.retry_at <= now
+            })
+            .collect();
+        for &i in &due {
+            clients[i].connect(addr);
+        }
+        for &i in &due {
+            clients[i].send();
+        }
+        let open: Vec<usize> = (0..clients.len())
+            .filter(|&i| clients[i].conn.is_some())
+            .collect();
+        let retry = clients
+            .iter()
+            .filter(|c| !c.done && c.conn.is_none())
+            .map(|c| c.retry_at)
+            .min();
+        if open.is_empty() && retry.is_none() {
+            return;
+        }
+        let mut fds: Vec<PollFd> = open
+            .iter()
+            .filter_map(|&i| clients[i].conn.as_ref())
+            .map(|(stream, _)| PollFd::readable(stream))
+            .collect();
+        poll(
+            &mut fds,
+            retry.map(|at| at.saturating_duration_since(Instant::now())),
+        )
+        .expect("poll the churn clients");
+        for (fd, &i) in fds.iter().zip(&open) {
+            if fd.ready() {
+                clients[i].receive(latency, &mut on_ack);
             }
         }
     }
-    lines.len()
 }
 
 /// B19 — socket churn with a mid-run kill: ≥1k concurrent TCP sessions
@@ -1259,9 +1336,12 @@ fn churn_client(
 /// snapshot directory on a new port, and every client reconnects and
 /// resumes from its first unacknowledged request. Every client's full
 /// reply transcript must be byte-identical to a sequential oracle server
-/// that never died — zero lost sessions, zero divergent replies.
+/// that never died — zero lost sessions, zero divergent replies. The
+/// clients all run on the calling thread ([`play_churn`]); the server runs
+/// on one thread of its own.
+#[cfg(unix)]
 fn socket_churn(config: &Config, results: &mut Vec<CaseResult>) -> Option<SocketChurn> {
-    use hazel::server::transport::{BindTo, Transport, TransportConfig};
+    use hazel::server::transport::{BindTo, Transport, TransportConfig, SERVE_STACK_BYTES};
 
     if !wants(config, "B19") {
         return None;
@@ -1292,8 +1372,14 @@ fn socket_churn(config: &Config, results: &mut Vec<CaseResult>) -> Option<Socket
     };
 
     let plans: Vec<(String, Vec<String>)> = (0..clients).map(churn_plan).collect();
-    let latency = std::sync::Arc::new(Histogram::new());
+    let latency = Histogram::new();
     let started = Instant::now();
+    let serve = |transport: Transport| {
+        std::thread::Builder::new()
+            .stack_size(SERVE_STACK_BYTES)
+            .spawn(move || transport.run())
+            .expect("spawn the serving thread")
+    };
 
     // First life: all clients fire concurrently; the server is drained
     // mid-traffic, cutting an arbitrary subset of them off between
@@ -1301,43 +1387,31 @@ fn socket_churn(config: &Config, results: &mut Vec<CaseResult>) -> Option<Socket
     let (transport, _) = bind(&registry_factory, &snap_dir);
     let addr = transport.tcp_addr().expect("tcp addr");
     let drain = transport.shutdown_handle();
-    let server_thread = std::thread::spawn(move || transport.run());
-    let total_requests: u64 = plans.iter().map(|(_, lines)| lines.len() as u64).sum();
-    let acked_count = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let phase1: Vec<(Vec<String>, usize)> = std::thread::scope(|scope| {
-        let kill_timer = {
-            let drain = drain.clone();
-            let acked_count = std::sync::Arc::clone(&acked_count);
-            scope.spawn(move || {
-                // The mid-run kill, data-triggered: wait until traffic is
-                // in full swing (a quarter of the requests acked) so the
-                // drain genuinely cuts clients off mid-plan, then pull
-                // the plug.
-                while acked_count.load(std::sync::atomic::Ordering::Relaxed) < total_requests / 4 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                drain.request_drain();
-            })
-        };
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|(_, lines)| {
-                let latency = std::sync::Arc::clone(&latency);
-                let acked_count = std::sync::Arc::clone(&acked_count);
-                scope.spawn(move || {
-                    let mut transcript = Vec::new();
-                    let acked =
-                        churn_client(addr, lines, 0, &mut transcript, &latency, &acked_count);
-                    (transcript, acked)
-                })
-            })
-            .collect();
-        let out = handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect();
-        kill_timer.join().expect("kill timer");
-        out
+    let server_thread = serve(transport);
+    let total_requests: usize = plans.iter().map(|(_, lines)| lines.len()).sum();
+    let now = Instant::now();
+    let mut players: Vec<ChurnClient<'_>> = plans
+        .iter()
+        .map(|(_, lines)| ChurnClient {
+            lines,
+            at: 0,
+            transcript: Vec::new(),
+            conn: None,
+            sent: now,
+            retry_at: now,
+            reconnects: 0,
+            done: false,
+        })
+        .collect();
+    // The mid-run kill, data-triggered: once traffic is in full swing (a
+    // quarter of the requests acked), so the drain genuinely cuts
+    // clients off mid-plan.
+    let mut acked = 0;
+    play_churn(addr, &mut players, &latency, || {
+        acked += 1;
+        if acked == total_requests / 4 {
+            drain.request_drain();
+        }
     });
     let first_life = server_thread.join().expect("transport thread");
     drop(first_life.server);
@@ -1354,29 +1428,16 @@ fn socket_churn(config: &Config, results: &mut Vec<CaseResult>) -> Option<Socket
     );
     let addr2 = transport.tcp_addr().expect("tcp addr");
     let drain2 = transport.shutdown_handle();
-    let server_thread = std::thread::spawn(move || transport.run());
-    let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .zip(&phase1)
-            .map(|((_, lines), (transcript, acked))| {
-                let latency = std::sync::Arc::clone(&latency);
-                let mut transcript = transcript.clone();
-                let acked = *acked;
-                let acked_count = std::sync::Arc::clone(&acked_count);
-                scope.spawn(move || {
-                    let done =
-                        churn_client(addr2, lines, acked, &mut transcript, &latency, &acked_count);
-                    assert_eq!(done, lines.len(), "no drain in the second life");
-                    transcript
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
+    let server_thread = serve(transport);
+    for player in &mut players {
+        player.done = player.at == player.lines.len();
+        player.reconnects = 0;
+    }
+    play_churn(addr2, &mut players, &latency, || {});
+    for player in &players {
+        assert_eq!(player.at, player.lines.len(), "no drain in the second life");
+    }
+    let transcripts: Vec<Vec<String>> = players.into_iter().map(|p| p.transcript).collect();
     drain2.request_drain();
     server_thread.join().expect("transport thread");
     let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1434,6 +1495,12 @@ fn socket_churn(config: &Config, results: &mut Vec<CaseResult>) -> Option<Socket
         churn.requests_per_sec(),
     );
     Some(churn)
+}
+
+/// The socket transport needs a Unix platform.
+#[cfg(not(unix))]
+fn socket_churn(_config: &Config, _results: &mut [CaseResult]) -> Option<SocketChurn> {
+    None
 }
 
 /// The B13 document: an independent `$slider` (hole 2), the dragged

@@ -361,16 +361,14 @@ const SERVE_CAPTURE_EVENTS: usize = 4096;
 ///
 /// Metrics are on by default: requests are timed into per-op histograms,
 /// the `metrics`/`watch` ops serve live snapshots, and a shutdown summary
-/// (plus the slow-request ranking) lands on stderr. On stdio a
-/// `MetricsSink` tracer additionally attributes time to pipeline phases
-/// and captures span trees for the slowest requests. Replies never
+/// (plus the slow-request ranking) lands on stderr. A `MetricsSink`
+/// tracer additionally attributes time to pipeline phases and captures
+/// span trees for the slowest requests. Replies never
 /// change shape — transcripts are byte-identical with `--no-metrics`.
 /// `--metrics-interval SECS` prints a one-line summary to stderr every
 /// SECS seconds.
 fn serve(args: &[String]) -> ExitCode {
-    use hazel::server::transport::{
-        self, signal, transport_error_line, BindTo, Transport, TransportConfig,
-    };
+    use hazel::server::transport::{self, serve_line, transport_error_line, TransportConfig};
     use hazel::server::wire::{FrameError, LineReader};
 
     let mut stdio = false;
@@ -485,11 +483,10 @@ fn serve(args: &[String]) -> ExitCode {
         }
     }
     // Phase attribution and slow-trace capture ride on an installed
-    // tracer. Tracers are per thread, so only the stdio path, which serves
-    // every request on this thread, gets one: socket handler threads
-    // install none and record no phases. The guard must outlive the
-    // request loop and drop on this thread.
-    let _trace_guard = metrics.as_ref().filter(|_| stdio).map(|m| {
+    // tracer. Tracers are per thread, and every transport serves its
+    // requests on this thread. The guard must outlive the request loop and
+    // drop on this thread.
+    let _trace_guard = metrics.as_ref().map(|m| {
         let sink = PairSink(MetricsSink::new(Arc::clone(m.hub())), m.capture().clone());
         hazel::trace::install(&Tracer::monotonic(sink))
     });
@@ -502,11 +499,11 @@ fn serve(args: &[String]) -> ExitCode {
         });
     }
 
+    // Serving stays on this thread: a second thread would make the process
+    // multi-threaded, and every allocation would then take the allocator's
+    // locking path.
+    transport::grow_main_stack();
     if stdio {
-        // Serving stays on this thread: a second thread would make the
-        // process multi-threaded, and every allocation would then take
-        // the allocator's locking path.
-        transport::grow_main_stack();
         let stdin = std::io::stdin();
         let mut out = std::io::stdout().lock();
         // The same framer the socket transport uses: LF or CRLF, a
@@ -514,75 +511,61 @@ fn serve(args: &[String]) -> ExitCode {
         // refused without killing the stream.
         let mut reader = LineReader::new(stdin.lock(), config.max_line_bytes);
         loop {
-            let line = match reader.next_line() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(FrameError::TooLong { limit }) => {
-                    let refusal =
-                        transport_error_line(format!("request line exceeds {limit} bytes"));
-                    if writeln!(out, "{refusal}").is_err() || out.flush().is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                Err(FrameError::Io(_)) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = server.handle_line(&line);
             // A reply per request, flushed eagerly: clients drive the
-            // protocol request/reply lockstep. `watch` notifications
-            // ride after the reply that triggered them.
-            if writeln!(out, "{reply}").is_err() || out.flush().is_err() {
-                break;
-            }
-            for note in server.take_notifications() {
-                if writeln!(out, "{note}").is_err() || out.flush().is_err() {
-                    break;
+            // protocol request/reply lockstep. The first failed write ends
+            // the loop, before another request is handled.
+            let served = match reader.next_line() {
+                Ok(Some(line)) => serve_line(&mut server, &line, &mut out),
+                Ok(None) | Err(FrameError::Io(_)) => break,
+                Err(e @ FrameError::TooLong { .. }) => {
+                    writeln!(out, "{}", transport_error_line(e.to_string()))
+                        .and_then(|()| out.flush())
+                        .map(|()| false)
                 }
-            }
-            if server.shutdown_requested() {
+            };
+            if !matches!(served, Ok(false)) {
                 break;
             }
         }
         let _ = server.sync_snapshots();
     } else {
-        let bind_to = match (&listen, &uds) {
-            (Some(addr), _) => BindTo::Tcp(addr.clone()),
-            #[cfg(unix)]
-            (None, Some(path)) => BindTo::Unix(std::path::PathBuf::from(path)),
-            #[cfg(not(unix))]
-            (None, Some(_)) => {
-                eprintln!("hazel: --uds needs a Unix platform");
-                return ExitCode::from(2);
-            }
-            (None, None) => unreachable!("transport count checked above"),
-        };
-        // Drain instead of dying on SIGTERM/SIGINT: finish in-flight
-        // requests, sync journals, then exit 0.
-        signal::install_term_handler();
-        let transport = match Transport::bind(&bind_to, server, config) {
-            Ok(t) => t,
-            Err(e) => {
-                let target = listen.as_deref().or(uds.as_deref()).unwrap_or("?");
-                eprintln!("hazel: cannot bind {target}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match (transport.tcp_addr(), &uds) {
-            (Some(addr), _) => eprintln!("hazel serve: listening on {addr}"),
-            (None, Some(path)) => eprintln!("hazel serve: listening on {path}"),
-            (None, None) => {}
+        #[cfg(not(unix))]
+        {
+            eprintln!("hazel: --listen and --uds need a Unix platform");
+            return ExitCode::from(2);
         }
-        let summary = transport.run();
-        eprintln!(
-            "hazel serve: drained ({} conn(s) accepted, {} dropped, {} stranded)",
-            summary.accepted, summary.dropped, summary.stranded
-        );
         #[cfg(unix)]
-        if let Some(path) = &uds {
-            let _ = std::fs::remove_file(path);
+        {
+            use hazel::server::transport::{signal, BindTo, Transport};
+            let bind_to = match (&listen, &uds) {
+                (Some(addr), _) => BindTo::Tcp(addr.clone()),
+                (None, Some(path)) => BindTo::Unix(std::path::PathBuf::from(path)),
+                (None, None) => unreachable!("transport count checked above"),
+            };
+            let transport = match Transport::bind(&bind_to, server, config) {
+                Ok(t) => t,
+                Err(e) => {
+                    let target = listen.as_deref().or(uds.as_deref()).unwrap_or("?");
+                    eprintln!("hazel: cannot bind {target}: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            // Drain instead of dying on SIGTERM/SIGINT: finish in-flight
+            // requests, sync journals, then exit 0.
+            signal::drain_on_term(transport.shutdown_handle());
+            match (transport.tcp_addr(), &uds) {
+                (Some(addr), _) => eprintln!("hazel serve: listening on {addr}"),
+                (None, Some(path)) => eprintln!("hazel serve: listening on {path}"),
+                (None, None) => {}
+            }
+            let summary = transport.run();
+            eprintln!(
+                "hazel serve: drained ({} conn(s) accepted, {} dropped)",
+                summary.accepted, summary.dropped
+            );
+            if let Some(path) = &uds {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Acceptance tests for the `hazel serve` subcommand: the golden
-//! transcript, crash-proofing under garbage input, and journals that
-//! survive a killed process.
+//! transcript, crash-proofing under garbage input, journals that survive
+//! a killed process, and a socket server that serves every connection
+//! from one thread, under the tracer stdio gets.
 //!
 //! The golden pins the full reply stream for a mixed two-session request
 //! script (stdio replies are byte-deterministic; CI diffs them too).
@@ -195,4 +196,115 @@ fn acked_requests_survive_sigkill() {
     let got: Vec<&str> = stdout.lines().collect();
     assert_eq!(got, expected);
     assert!(got[0].contains("\"result\":\"42\""), "{}", got[0]);
+}
+
+/// A `hazel serve --uds` process and the socket path it listens on.
+#[cfg(unix)]
+struct SocketServer {
+    child: std::process::Child,
+    path: std::path::PathBuf,
+}
+
+#[cfg(unix)]
+impl SocketServer {
+    fn start(tag: &str) -> SocketServer {
+        let path = std::env::temp_dir().join(format!("hazel-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let child = Command::new(env!("CARGO_BIN_EXE_hazel"))
+            .args(["serve", "--uds"])
+            .arg(&path)
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        SocketServer { child, path }
+    }
+
+    /// A connection, retried until the server listens.
+    fn connect(&self) -> (std::os::unix::net::UnixStream, impl BufRead) {
+        let conn = (0..200)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::os::unix::net::UnixStream::connect(&self.path).ok()
+            })
+            .expect("server listens");
+        let reader = BufReader::new(conn.try_clone().unwrap());
+        (conn, reader)
+    }
+
+    /// Asks for a drain over `conn` and expects a clean exit.
+    fn shut_down(mut self, conn: &mut impl Write, replies: &mut impl BufRead) {
+        let reply = exchange(conn, replies, r#"{"op":"shutdown"}"#);
+        assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+        assert!(self.child.wait().unwrap().success());
+    }
+}
+
+/// A failed test must not leave its server running.
+#[cfg(unix)]
+impl Drop for SocketServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+#[cfg(unix)]
+fn exchange(to: &mut impl Write, from: &mut impl BufRead, line: &str) -> String {
+    writeln!(to, "{line}").unwrap();
+    let mut reply = String::new();
+    from.read_line(&mut reply).unwrap();
+    reply
+}
+
+/// Sixteen open connections, one thread: the socket transport serves
+/// every connection from the thread that runs it.
+#[cfg(target_os = "linux")]
+#[test]
+fn one_thread_serves_every_socket_connection() {
+    let server = SocketServer::start("threads");
+    let mut conns: Vec<_> = (0..16).map(|_| server.connect()).collect();
+    for (conn, replies) in &mut conns {
+        let reply = exchange(conn, replies, r#"{"op":"stats"}"#);
+        assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+    }
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", server.child.id()))
+        .unwrap()
+        .count();
+    assert_eq!(tasks, 1, "threads serving 16 connections");
+    let (conn, replies) = &mut conns[0];
+    server.shut_down(conn, replies);
+}
+
+/// Socket requests run under the same `MetricsSink` tracer as stdio
+/// requests, so `metrics` attributes their time to phases and counts
+/// connections.
+#[cfg(unix)]
+#[test]
+fn socket_metrics_report_phases_and_counters() {
+    use hazel::server::json::{self, Json};
+
+    let server = SocketServer::start("metrics");
+    let (mut conn, mut replies) = server.connect();
+    for request in [
+        r#"{"op":"open","session":"s","source":"$slider@0{10}(0 : Int; 100 : Int)"}"#,
+        r#"{"op":"render","session":"s"}"#,
+    ] {
+        let reply = exchange(&mut conn, &mut replies, request);
+        assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+    }
+    let reply = exchange(&mut conn, &mut replies, r#"{"op":"metrics"}"#);
+    let metrics = json::parse(reply.trim_end()).unwrap();
+    let phases = metrics.get("phases").and_then(Json::as_arr).unwrap();
+    assert!(!phases.is_empty(), "{reply}");
+    let counter = |name: &str| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_int)
+            .unwrap_or(0)
+    };
+    assert!(counter("serve_requests") > 0, "{reply}");
+    assert!(counter("serve_conns") > 0, "{reply}");
+    server.shut_down(&mut conn, &mut replies);
 }

@@ -273,6 +273,17 @@ pub struct Server {
     /// A `shutdown` op asked the transport to drain (see
     /// [`Server::shutdown_requested`]).
     shutdown: bool,
+    /// Kept by the socket transport that owns this server.
+    conns: ConnTally,
+}
+
+/// Socket connections: open now, and accepted and closed early (over the
+/// cap, idle, stalled or failed) since startup.
+#[derive(Debug, Clone, Copy, Default)]
+struct ConnTally {
+    open: u64,
+    accepted: u64,
+    dropped: u64,
 }
 
 impl Server {
@@ -296,6 +307,7 @@ impl Server {
             snapshots: None,
             replaying: false,
             shutdown: false,
+            conns: ConnTally::default(),
         }
     }
 
@@ -1030,9 +1042,9 @@ impl Server {
             fields.push(("uptime_ns", uint(metrics.uptime_ns())));
             fields.push(("bytes_in", uint(metrics.bytes_in())));
             fields.push(("bytes_out", uint(metrics.bytes_out())));
-            fields.push(("conns_open", uint(metrics.conns_open())));
-            fields.push(("conns_accepted", uint(metrics.conns_accepted())));
-            fields.push(("conns_dropped", uint(metrics.conns_dropped())));
+            fields.push(("conns_open", uint(self.conns.open)));
+            fields.push(("conns_accepted", uint(self.conns.accepted)));
+            fields.push(("conns_dropped", uint(self.conns.dropped)));
             let ops: Vec<Json> = OPS
                 .iter()
                 .enumerate()
@@ -1311,7 +1323,7 @@ fn edit_field_str<'a>(edit: &'a Json, key: &'static str) -> Result<&'a str, Requ
 }
 
 /// Refuses a document that nests deeper than [`MAX_DEPTH`]: every pass
-/// over it recurses, and the serving threads' stacks are sized for the
+/// over it recurses, and the serving thread's stack is sized for the
 /// bound.
 fn within_depth_bound(doc: &Document) -> Result<(), RequestError> {
     let depth = doc.depth();

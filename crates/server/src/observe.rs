@@ -64,9 +64,6 @@ struct Inner {
     errors: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    conns_open: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_dropped: AtomicU64,
     slow: Mutex<Vec<Vec<SlowEntry>>>,
     slow_k: usize,
 }
@@ -92,9 +89,6 @@ impl ServeMetrics {
                 errors: AtomicU64::new(0),
                 bytes_in: AtomicU64::new(0),
                 bytes_out: AtomicU64::new(0),
-                conns_open: AtomicU64::new(0),
-                conns_accepted: AtomicU64::new(0),
-                conns_dropped: AtomicU64::new(0),
                 slow: Mutex::new(vec![Vec::new(); OPS.len()]),
                 slow_k,
             }),
@@ -137,38 +131,6 @@ impl ServeMetrics {
     /// Reply bytes produced (before any `timings` echo).
     pub fn bytes_out(&self) -> u64 {
         self.inner.bytes_out.load(Ordering::Relaxed)
-    }
-
-    /// A socket connection was accepted (transport gauge).
-    pub fn conn_opened(&self) {
-        self.inner.conns_open.fetch_add(1, Ordering::Relaxed);
-        self.inner.conns_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A socket connection ended, for any reason.
-    pub fn conn_closed(&self) {
-        self.inner.conns_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The transport dropped a connection early (over the cap, idle past
-    /// the timeout, or stalled on write backpressure).
-    pub fn conn_dropped(&self) {
-        self.inner.conns_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Socket connections currently open.
-    pub fn conns_open(&self) -> u64 {
-        self.inner.conns_open.load(Ordering::Relaxed)
-    }
-
-    /// Socket connections accepted since startup.
-    pub fn conns_accepted(&self) -> u64 {
-        self.inner.conns_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Connections the transport closed early.
-    pub fn conns_dropped(&self) -> u64 {
-        self.inner.conns_dropped.load(Ordering::Relaxed)
     }
 
     /// Folds one handled request into the aggregate.

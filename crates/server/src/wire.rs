@@ -216,16 +216,21 @@ impl<R: Read> LineReader<R> {
         }
     }
 
-    /// Returns the underlying stream (for shutdown/identity checks).
+    /// The underlying stream.
     pub fn get_ref(&self) -> &R {
         &self.inner
     }
 
-    /// Unwraps the reader, handing back the stream (buffered-but-unframed
-    /// bytes are dropped — used when the transport stops reading requests
-    /// at drain and only needs the raw socket to say goodbye).
-    pub fn into_inner(self) -> R {
-        self.inner
+    /// The underlying stream, to write replies to. Reading from it
+    /// directly would bypass the framer.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Whether [`LineReader::next_line`] can return without reading: a
+    /// whole line is buffered, or the stream has ended.
+    pub fn has_line(&self) -> bool {
+        self.eof || self.buf[self.start..].contains(&b'\n')
     }
 
     /// Next complete request line, `Ok(None)` at clean end of stream.

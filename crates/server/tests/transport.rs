@@ -1,19 +1,24 @@
 //! End-to-end socket transport tests: real TCP and Unix-domain
 //! connections against a running [`Transport`], covering framing over
 //! the wire, the connection cap, idle timeouts, graceful drain, and
-//! crash-safe resume from session snapshots.
+//! crash-safe resume from session snapshots, and what one serving thread
+//! must not let a client do to the others: starve them by pipelining,
+//! stall them by not reading, or hold up a drain by never closing.
+
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use livelit_server::json::{self, Json};
-use livelit_server::transport::{BindTo, DrainSummary, Transport, TransportConfig};
+use livelit_server::transport::{
+    BindTo, DrainSummary, ShutdownHandle, Transport, TransportConfig, SERVE_STACK_BYTES,
+};
 use livelit_server::Server;
 
 const SLIDER_DOC: &str = "$slider@0{10}(0 : Int; 100 : Int)";
@@ -37,23 +42,27 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
+/// Runs a transport on a thread with a serving stack, as `hazel serve`
+/// runs it on its main thread.
+fn spawn_run(transport: Transport) -> thread::JoinHandle<DrainSummary> {
+    thread::Builder::new()
+        .stack_size(SERVE_STACK_BYTES)
+        .spawn(move || transport.run())
+        .expect("spawn the serving thread")
+}
+
 /// Binds a TCP transport on a kernel-assigned port and runs it on a
-/// background thread. Returns the address, a drain closure, and the
+/// background thread. Returns the address, a drain handle, and the
 /// join handle yielding the [`DrainSummary`].
 fn spawn_tcp(
     server: Server,
     config: TransportConfig,
-) -> (
-    SocketAddr,
-    livelit_server::transport::ShutdownHandle,
-    thread::JoinHandle<DrainSummary>,
-) {
+) -> (SocketAddr, ShutdownHandle, thread::JoinHandle<DrainSummary>) {
     let transport = Transport::bind(&BindTo::Tcp("127.0.0.1:0".into()), server, config)
         .expect("bind 127.0.0.1:0");
     let addr = transport.tcp_addr().expect("tcp addr");
     let handle = transport.shutdown_handle();
-    let join = thread::spawn(move || transport.run());
-    (addr, handle, join)
+    (addr, handle, spawn_run(transport))
 }
 
 fn send_line(stream: &mut impl Write, line: &str) {
@@ -115,8 +124,7 @@ fn tcp_session_round_trips_open_dispatch_render() {
     let summary = join.join().expect("transport thread");
     assert_eq!(summary.accepted, 1);
     assert_eq!(summary.dropped, 0);
-    let server = summary.server.expect("server handed back after drain");
-    assert_eq!(server.session_count(), 1);
+    assert_eq!(summary.server.session_count(), 1);
 }
 
 #[test]
@@ -187,9 +195,9 @@ fn over_cap_connections_get_a_transport_error_then_eof() {
     // Once the first connection leaves, the slot frees up.
     drop(first_writer);
     drop(first_reader);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     let mut served = false;
-    while std::time::Instant::now() < deadline {
+    while Instant::now() < deadline {
         let third = TcpStream::connect(addr).expect("connect");
         let mut writer = third.try_clone().expect("clone");
         let mut reader = BufReader::new(third);
@@ -268,10 +276,9 @@ fn shutdown_op_drains_the_whole_transport() {
     // run() returns without any external drain request.
     let summary = join.join().expect("transport thread");
     assert_eq!(summary.accepted, 1);
-    assert!(summary.server.is_some());
+    assert_eq!(summary.dropped, 0);
 }
 
-#[cfg(unix)]
 #[test]
 fn unix_socket_serves_and_recovers_a_stale_socket_file() {
     let path = temp_path("uds");
@@ -284,7 +291,7 @@ fn unix_socket_serves_and_recovers_a_stale_socket_file() {
         )
         .expect("bind uds");
         let handle = transport.shutdown_handle();
-        let join = thread::spawn(move || transport.run());
+        let join = spawn_run(transport);
 
         let stream = UnixStream::connect(&path).expect("connect uds");
         let mut writer = stream.try_clone().expect("clone");
@@ -415,4 +422,128 @@ fn kill_and_restart_resumes_sessions_from_snapshots() {
     handle2.request_drain();
     join2.join().expect("transport thread");
     let _ = std::fs::remove_dir_all(&snap_dir);
+}
+
+/// A connected client with a read timeout, so a server that stops
+/// serving it fails the test instead of hanging it.
+fn client(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let writer = stream.try_clone().expect("clone");
+    (writer, BufReader::new(stream))
+}
+
+/// The server's request total, as a `metrics` reply reports it: requests
+/// handled before this one.
+fn requests_handled(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> i64 {
+    send_line(writer, "{\"op\":\"metrics\"}");
+    let reply = read_reply(reader);
+    assert_ok(&reply);
+    reply
+        .get("requests")
+        .and_then(Json::as_int)
+        .expect("metrics replies count requests")
+}
+
+#[test]
+fn a_pipelining_client_does_not_starve_another() {
+    let (addr, handle, join) = spawn_tcp(std_server(), TransportConfig::default());
+    let (mut other, mut other_reader) = client(addr);
+    assert_eq!(requests_handled(&mut other, &mut other_reader), 0);
+
+    // 1,000 requests in one write, whose replies are read only at the end.
+    let (mut flood, mut flood_reader) = client(addr);
+    let requests: String = (0..1000)
+        .map(|i| format!("{{\"op\":\"open\",\"session\":\"f{i}\",\"source\":{SLIDER_DOC:?}}}\n"))
+        .collect();
+    flood
+        .write_all(requests.as_bytes())
+        .expect("write the flood");
+
+    // The loop takes one request per connection per turn, so the other
+    // connection's round trip does not wait for the flood to be handled.
+    let before = requests_handled(&mut other, &mut other_reader);
+    assert!(
+        before < 1 + 1000,
+        "the other client waited for all {before} requests before it"
+    );
+    for _ in 0..1000 {
+        assert_ok(&read_reply(&mut flood_reader));
+    }
+
+    drop((other, other_reader, flood, flood_reader));
+    handle.request_drain();
+    assert_eq!(join.join().expect("transport thread").dropped, 0);
+}
+
+#[test]
+fn a_client_that_never_reads_is_dropped_and_stalls_no_other() {
+    let config = TransportConfig {
+        write_timeout: Duration::from_millis(200),
+        ..TransportConfig::default()
+    };
+    let (addr, handle, join) = spawn_tcp(std_server(), config);
+    let (mut other, mut other_reader) = client(addr);
+    send_line(&mut other, "{\"op\":\"stats\"}");
+    assert_ok(&read_reply(&mut other_reader));
+
+    // Every reply echoes a 64 KiB id, so replies the client never reads
+    // soon fill the socket buffers, and its writes block once the server
+    // stops reading it. They fail once the server drops it.
+    let (hog, _unread) = client(addr);
+    let request = format!("{{\"op\":\"stats\",\"id\":{:?}}}\n", "x".repeat(64 << 10));
+    let hog = thread::spawn(move || {
+        let mut hog = hog;
+        while hog.write_all(request.as_bytes()).is_ok() {}
+    });
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut round_trips = 0;
+    while !hog.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled client was not dropped"
+        );
+        send_line(&mut other, "{\"op\":\"stats\"}");
+        assert_ok(&read_reply(&mut other_reader));
+        round_trips += 1;
+    }
+    hog.join().expect("hog thread");
+    assert!(
+        round_trips > 1,
+        "{round_trips} round trips during the stall"
+    );
+    send_line(&mut other, "{\"op\":\"stats\"}");
+    assert_ok(&read_reply(&mut other_reader));
+
+    drop((other, other_reader));
+    handle.request_drain();
+    let summary = join.join().expect("transport thread");
+    assert_eq!(summary.accepted, 2);
+    assert_eq!(summary.dropped, 1, "only the client that never read");
+}
+
+#[test]
+fn a_drain_shares_one_deadline_among_clients_that_never_close() {
+    let (addr, handle, join) = spawn_tcp(std_server(), TransportConfig::default());
+    let mut clients: Vec<_> = (0..64).map(|_| client(addr)).collect();
+    for (writer, reader) in &mut clients {
+        send_line(writer, "{\"op\":\"stats\"}");
+        assert_ok(&read_reply(reader));
+    }
+
+    let started = Instant::now();
+    handle.request_drain();
+    let summary = join.join().expect("transport thread");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "the drain took {took:?}");
+    assert_eq!((summary.accepted, summary.dropped), (64, 0));
+    // Every client has read all its replies; what follows is a clean EOF.
+    for (_, reader) in &mut clients {
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).expect("eof");
+        assert_eq!(rest, "");
+    }
 }
