@@ -10,6 +10,11 @@
 //! versus with a no-op sink installed — the measured backing for the
 //! "near-zero overhead when off" contract.
 //!
+//! The report opens with run metadata (`meta`): the commit, whether the
+//! tree differed from it (`dirty`, with a hash of `git diff HEAD`), the
+//! core count, `rustc -V` and the build profile, so every number names the
+//! tree and machine it came from.
+//!
 //! ```console
 //! $ livelit-bench                  # full suite, writes BENCH_trace.json
 //! $ livelit-bench --quick          # smaller sizes/iteration counts
@@ -18,6 +23,8 @@
 //! ```
 
 use std::hint::black_box;
+use std::io::Write;
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use hazel::editor::{IncrementalAnalyzer, IncrementalEngine};
@@ -1673,6 +1680,80 @@ fn overhead_experiment(iters: u32) -> (u64, u64) {
     (baseline, noop)
 }
 
+/// Runs `program` and returns its stdout, or `None` if it cannot run or
+/// fails. Git is confined to the working directory: the checkout may not
+/// be a repository, and the commit of one that merely encloses it must
+/// never be reported.
+fn command_output(program: &str, args: &[&str], stdin: Option<&[u8]>) -> Option<Vec<u8>> {
+    let cwd = std::env::current_dir().ok()?;
+    let ceiling = cwd.parent().unwrap_or(&cwd).to_owned();
+    let mut child = Command::new(program)
+        .args(args)
+        .env("GIT_CEILING_DIRECTORIES", ceiling)
+        .stdin(if stdin.is_some() {
+            Stdio::piped()
+        } else {
+            Stdio::null()
+        })
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    if let (Some(input), Some(mut pipe)) = (stdin, child.stdin.take()) {
+        pipe.write_all(input).ok()?;
+    }
+    let out = child.wait_with_output().ok()?;
+    out.status.success().then_some(out.stdout)
+}
+
+/// [`command_output`] as trimmed text.
+fn command_text(program: &str, args: &[&str]) -> Option<String> {
+    command_output(program, args, None).map(|o| String::from_utf8_lossy(&o).trim().to_owned())
+}
+
+/// The report's run metadata as a JSON object: commit, a dirty flag with
+/// the git blob hash of `git diff HEAD` (what `git diff HEAD | git
+/// hash-object --stdin` prints; `null` when clean or unknown), core count,
+/// compiler and build profile.
+fn run_meta() -> String {
+    use hazel::trace::event::json_string;
+    let commit = command_text("git", &["rev-parse", "HEAD"]);
+    let diff = commit
+        .as_ref()
+        .and_then(|_| command_output("git", &["diff", "HEAD"], None));
+    let diff_hash = diff
+        .as_deref()
+        .filter(|d| !d.is_empty())
+        .and_then(|d| command_output("git", &["hash-object", "--stdin"], Some(d)))
+        .map(|h| String::from_utf8_lossy(&h).trim().to_owned());
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let rustc = command_text("rustc", &["-V"]);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut out = String::from("{\"commit\":");
+    json_string(&mut out, commit.as_deref().unwrap_or("unknown"));
+    out.push_str(",\"dirty\":");
+    out.push_str(match &diff {
+        Some(d) if d.is_empty() => "false",
+        Some(_) => "true",
+        None => "null",
+    });
+    out.push_str(",\"diff_hash\":");
+    match &diff_hash {
+        Some(h) => json_string(&mut out, h),
+        None => out.push_str("null"),
+    }
+    out.push_str(&format!(",\"nproc\":{nproc},\"rustc\":"));
+    json_string(&mut out, rustc.as_deref().unwrap_or("unknown"));
+    out.push_str(",\"profile\":");
+    json_string(&mut out, profile);
+    out.push('}');
+    out
+}
+
 #[allow(clippy::too_many_arguments)]
 fn render_report(
     results: &[CaseResult],
@@ -1686,7 +1767,9 @@ fn render_report(
     metrics_overhead: (u64, u64, f64),
 ) -> String {
     use hazel::trace::event::json_string;
-    let mut out = String::from("{\"results\":[");
+    let mut out = String::from("{\"meta\":");
+    out.push_str(&run_meta());
+    out.push_str(",\"results\":[");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             out.push(',');

@@ -84,7 +84,10 @@ const SPLICE_HOLE_BASE: u64 = 1 << 20;
 #[derive(Clone)]
 pub struct Document {
     /// Library bindings wrapped around the program.
-    pub prelude: Vec<PreludeBinding>,
+    prelude: Vec<PreludeBinding>,
+    /// The typing context the prelude induces, built once: every engine
+    /// run and analysis reads it.
+    prelude_ctx: Ctx,
     program: UExp,
     instances: BTreeMap<HoleName, Instance>,
     next_hole: u64,
@@ -109,8 +112,10 @@ impl Document {
         program: UExp,
     ) -> Result<Document, DocError> {
         let next_hole = program.next_hole_name().0;
+        let prelude_ctx = Ctx::from_bindings(prelude.iter().map(|b| (b.var.clone(), b.ty.clone())));
         let mut doc = Document {
             prelude,
+            prelude_ctx,
             program,
             instances: BTreeMap::new(),
             next_hole,
@@ -161,9 +166,10 @@ impl Document {
         &self.prelude
     }
 
-    /// The typing context induced by the prelude.
+    /// The typing context induced by the prelude (a clone of the shared
+    /// one, so O(1)).
     pub fn prelude_ctx(&self) -> Ctx {
-        Ctx::from_bindings(self.prelude.iter().map(|b| (b.var.clone(), b.ty.clone())))
+        self.prelude_ctx.clone()
     }
 
     /// The program with the prelude bindings wrapped around it — what the

@@ -13,6 +13,7 @@ use hazel_lang::eval::DEFAULT_FUEL;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::HoleName;
 use hazel_lang::internal::IExp;
+use hazel_lang::unexpanded::UExp;
 use livelit_core::cc::{collect_with_fuel, CollectError, Collection};
 use livelit_core::expansion::expand_marked;
 use livelit_mvu::html::Html;
@@ -102,10 +103,12 @@ pub fn run_with_fuel(
     // threads its persistent one through `run_with_fuel_in` so retained
     // trees survive across edits.
     let mut retainer = ViewRetainer::new();
-    run_with_fuel_in(registry, doc, fuel, &mut retainer)
+    run_with_fuel_in(registry, doc, &doc.full_program(), fuel, &mut retainer)
 }
 
-/// [`run_with_fuel`] building views into a caller-owned [`ViewRetainer`].
+/// [`run_with_fuel`] on `program`, the document's
+/// [`Document::full_program`], building views into a caller-owned
+/// [`ViewRetainer`].
 ///
 /// # Errors
 ///
@@ -113,17 +116,17 @@ pub fn run_with_fuel(
 pub(crate) fn run_with_fuel_in(
     registry: &LivelitRegistry,
     doc: &Document,
+    program: &UExp,
     fuel: u64,
     retainer: &mut ViewRetainer,
 ) -> Result<EngineOutput, EngineError> {
     let _span = livelit_trace::span("engine.run");
     let phi = registry.phi();
-    let program = doc.full_program();
 
     // Closure collection, which marks failing invocations as holes.
     let collection = {
         let _span = livelit_trace::span("engine.collect");
-        collect_with_fuel(&phi, &program, fuel)?
+        collect_with_fuel(&phi, program, fuel)?
     };
 
     // Final result by fill-and-resume (Sec. 4.3.2).

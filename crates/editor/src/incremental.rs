@@ -10,17 +10,14 @@
 //! paddle drag, a palette click) can reuse the cached proto-result and
 //! merely rebuild Ω before filling and resuming.
 //!
-//! [`IncrementalEngine::run`] detects this case by *interning* the
-//! program's model-erased skeleton into a hash-consed term store
-//! ([`hazel_lang::store::TermStore::intern_uexp_skeleton`]) and comparing
-//! compact [`TermId`]s: two programs intern to the same id exactly when
-//! they differ at most in livelit models. This replaces the old approach of
-//! building a model-erased copy of the whole tree and deep-comparing it on
-//! every run — the interner shares all unchanged subtrees, so an edit pays
-//! for the spine it changed, not for the program size.
+//! [`IncrementalEngine::run`] detects this case by comparing the program
+//! with the one the cached run collected, with [`UExp::same_skeleton`]: a
+//! lockstep walk that ignores models and stops at the first difference.
+//! The comparison keeps nothing beyond the cached program, so the engine's
+//! memory does not grow with the number of edits.
 
 use hazel_lang::eval::{EvalError, DEFAULT_FUEL};
-use hazel_lang::store::{TermId, TermStore};
+use hazel_lang::unexpanded::UExp;
 use livelit_core::cc::{CollectError, Omega};
 use livelit_core::expansion::{expand_invocation, ExpandError};
 
@@ -31,18 +28,10 @@ use crate::engine::{run_with_fuel_in, EngineError, EngineOutput};
 use crate::registry::LivelitRegistry;
 use crate::views::{ViewDelta, ViewRetainer};
 
-/// Bound on the engine-owned skeleton store; past this many interned nodes
-/// the store (and with it the cache) is reset, so an unboundedly long edit
-/// session cannot grow it without limit.
-const SKELETON_STORE_CAP: usize = 1 << 20;
-
 /// An engine that caches closure collection across edits and re-runs only
 /// fill-and-resume when an edit touched nothing but livelit models.
 pub struct IncrementalEngine {
     fuel: u64,
-    /// Interns model-erased program skeletons across edits; successive
-    /// program versions share all unchanged subtrees.
-    store: TermStore,
     cached: Option<Cached>,
     /// Retained view snapshots, kept across both the fast and full paths
     /// so unchanged instances reuse their memoized views and changed ones
@@ -55,7 +44,9 @@ pub struct IncrementalEngine {
 }
 
 struct Cached {
-    skeleton: TermId,
+    /// The program the cached run collected; a later program with the same
+    /// skeleton can reuse the run.
+    program: UExp,
     output: EngineOutput,
 }
 
@@ -69,7 +60,6 @@ impl IncrementalEngine {
     pub fn with_fuel(fuel: u64) -> IncrementalEngine {
         IncrementalEngine {
             fuel,
-            store: TermStore::new(),
             cached: None,
             retainer: ViewRetainer::new(),
             incremental_hits: 0,
@@ -88,16 +78,8 @@ impl IncrementalEngine {
         doc: &Document,
     ) -> Result<&EngineOutput, EngineError> {
         let program = doc.full_program();
-        if self.store.len() > SKELETON_STORE_CAP {
-            self.store = TermStore::new();
-            self.cached = None;
-            self.retainer.clear();
-        }
-        let current_skeleton = self.store.intern_uexp_skeleton(&program);
-        self.store.report_trace_counters();
-
         let reusable = self.cached.as_ref().is_some_and(|c| {
-            c.skeleton == current_skeleton && c.output.collection.errors.is_empty()
+            c.output.collection.errors.is_empty() && c.program.same_skeleton(&program)
         });
 
         if reusable {
@@ -145,13 +127,10 @@ impl IncrementalEngine {
         // survive full recollection too: an instance whose memo key still
         // matches (e.g. one with no collected σ) stays a memo hit, and
         // changed ones diff against their retained snapshots.
-        let output = run_with_fuel_in(registry, doc, self.fuel, &mut self.retainer)?;
+        let output = run_with_fuel_in(registry, doc, &program, self.fuel, &mut self.retainer)?;
         self.full_runs += 1;
         livelit_trace::count(livelit_trace::Counter::IncrementalFullRuns, 1);
-        self.cached = Some(Cached {
-            skeleton: current_skeleton,
-            output,
-        });
+        self.cached = Some(Cached { program, output });
         Ok(&self.cached.as_ref().expect("just set").output)
     }
 

@@ -54,7 +54,7 @@ fn model_driven_object_livelit() {
     // And it persists through the text buffer like any livelit.
     let buffer = hazel_editor::save_buffer(&doc, 100);
     assert!(buffer.contains("$stepper@0{1}"), "{buffer}");
-    let doc2 = hazel_editor::load_buffer(&registry, doc.prelude.clone(), &buffer).unwrap();
+    let doc2 = hazel_editor::load_buffer(&registry, doc.prelude().to_vec(), &buffer).unwrap();
     assert_eq!(
         hazel_editor::run(&registry, &doc2).unwrap().result,
         IExp::Int(101)

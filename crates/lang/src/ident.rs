@@ -5,21 +5,26 @@
 //! `t` over type variables, `u` over hole names, and `$a` over livelit names.
 //! Each of these gets its own newtype so they cannot be confused
 //! ([C-NEWTYPE]).
+//!
+//! Names are shared, not copied: each identifier holds an `Arc<str>`, so a
+//! clone is a reference-count bump. Equality, ordering and hashing are by
+//! content, so maps keyed by identifiers iterate in string order.
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! string_ident {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates an identifier from anything string-like.
-            pub fn new(s: impl Into<String>) -> Self {
-                $name(s.into())
+            pub fn new(s: impl AsRef<str>) -> Self {
+                $name(Arc::from(s.as_ref()))
             }
 
             /// The identifier as a string slice.
@@ -36,13 +41,13 @@ macro_rules! string_ident {
 
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
-                $name(s.to_owned())
+                $name(Arc::from(s))
             }
         }
 
         impl From<String> for $name {
             fn from(s: String) -> Self {
-                $name(s)
+                $name(Arc::from(s))
             }
         }
 
@@ -91,13 +96,13 @@ string_ident! {
 /// from variables (Sec. 1.2, "Decentralized Extensibility").
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LivelitName(String);
+pub struct LivelitName(Arc<str>);
 
 impl LivelitName {
     /// Creates a livelit name. A leading `$`, if present, is stripped.
-    pub fn new(s: impl Into<String>) -> Self {
-        let s: String = s.into();
-        LivelitName(s.strip_prefix('$').map(str::to_owned).unwrap_or(s))
+    pub fn new(s: impl AsRef<str>) -> Self {
+        let s = s.as_ref();
+        LivelitName(Arc::from(s.strip_prefix('$').unwrap_or(s)))
     }
 
     /// The name without the `$` sigil.

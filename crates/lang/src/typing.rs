@@ -7,6 +7,7 @@
 //! recording `u :: τ[Γ]` for every hole encountered, which is the interface
 //! elaboration and closure collection rely on.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -17,12 +18,93 @@ use crate::typ::Typ;
 
 /// A typing context `Γ`: a persistent map from variables to types.
 ///
-/// Extension is O(log n) with structural sharing (via [`Arc`]), because the
+/// Γ is a persistent AVL tree whose nodes are shared through [`Arc`]. The
 /// checker snapshots Γ into Δ at every hole (the `u :: τ[Γ]` hypotheses)
-/// and cloning a flat map at each hole would be quadratic.
-#[derive(Debug, Clone, Default)]
+/// and extends it at every binder, so both must be cheap: a snapshot is a
+/// clone, one reference-count bump; [`Ctx::extend`] is O(log n), copying
+/// only the nodes on the path to the new binding and sharing every other
+/// subtree, and every binding's type, with the context it extends. Lookup
+/// is O(log n) and [`Ctx::len`] is O(1).
+#[derive(Clone, Default)]
 pub struct Ctx {
-    map: Arc<BTreeMap<Var, Typ>>,
+    root: Tree,
+    len: usize,
+}
+
+type Tree = Option<Arc<Node>>;
+
+struct Node {
+    /// `x : τ`, shared by every copy of this node.
+    binding: Arc<(Var, Typ)>,
+    /// The number of nodes on the longest path down from this one.
+    height: u8,
+    left: Tree,
+    right: Tree,
+}
+
+fn height(t: &Tree) -> u8 {
+    t.as_ref().map_or(0, |n| n.height)
+}
+
+fn node(binding: Arc<(Var, Typ)>, left: Tree, right: Tree) -> Arc<Node> {
+    let height = 1 + height(&left).max(height(&right));
+    Arc::new(Node {
+        binding,
+        height,
+        left,
+        right,
+    })
+}
+
+/// Builds a node over two subtrees whose heights differ by at most two,
+/// rotating once or twice so that they differ by at most one.
+fn balance(binding: Arc<(Var, Typ)>, left: Tree, right: Tree) -> Arc<Node> {
+    let (hl, hr) = (height(&left), height(&right));
+    if hl > hr + 1 {
+        let l = left.as_deref().expect("taller side is non-empty");
+        if height(&l.left) >= height(&l.right) {
+            let top = node(binding, l.right.clone(), right);
+            node(l.binding.clone(), l.left.clone(), Some(top))
+        } else {
+            let lr = l.right.as_deref().expect("taller side is non-empty");
+            let low = node(l.binding.clone(), l.left.clone(), lr.left.clone());
+            let high = node(binding, lr.right.clone(), right);
+            node(lr.binding.clone(), Some(low), Some(high))
+        }
+    } else if hr > hl + 1 {
+        let r = right.as_deref().expect("taller side is non-empty");
+        if height(&r.right) >= height(&r.left) {
+            let top = node(binding, left, r.left.clone());
+            node(r.binding.clone(), Some(top), r.right.clone())
+        } else {
+            let rl = r.left.as_deref().expect("taller side is non-empty");
+            let low = node(binding, left, rl.left.clone());
+            let high = node(r.binding.clone(), rl.right.clone(), r.right.clone());
+            node(rl.binding.clone(), Some(low), Some(high))
+        }
+    } else {
+        node(binding, left, right)
+    }
+}
+
+/// `t` with `binding` inserted (replacing any binding of its variable),
+/// path-copied; `added` records whether the variable was new.
+fn insert(t: &Tree, binding: Arc<(Var, Typ)>, added: &mut bool) -> Arc<Node> {
+    let Some(n) = t else {
+        *added = true;
+        return node(binding, None, None);
+    };
+    match binding.0.cmp(&n.binding.0) {
+        Ordering::Less => {
+            let left = insert(&n.left, binding, added);
+            balance(n.binding.clone(), Some(left), n.right.clone())
+        }
+        Ordering::Greater => {
+            let right = insert(&n.right, binding, added);
+            balance(n.binding.clone(), n.left.clone(), Some(right))
+        }
+        Ordering::Equal => node(binding, n.left.clone(), n.right.clone()),
+    }
 }
 
 impl Ctx {
@@ -31,49 +113,102 @@ impl Ctx {
         Ctx::default()
     }
 
-    /// Creates a context from bindings.
+    /// Creates a context from bindings; a later binding of a variable
+    /// shadows an earlier one.
     pub fn from_bindings(bindings: impl IntoIterator<Item = (Var, Typ)>) -> Ctx {
-        Ctx {
-            map: Arc::new(bindings.into_iter().collect()),
-        }
+        bindings
+            .into_iter()
+            .fold(Ctx::empty(), |ctx, (x, ty)| ctx.extend(x, ty))
     }
 
     /// Looks up a variable.
     pub fn get(&self, x: &Var) -> Option<&Typ> {
-        self.map.get(x)
+        let mut cur = self.root.as_deref();
+        while let Some(n) = cur {
+            cur = match x.cmp(&n.binding.0) {
+                Ordering::Less => n.left.as_deref(),
+                Ordering::Greater => n.right.as_deref(),
+                Ordering::Equal => return Some(&n.binding.1),
+            };
+        }
+        None
     }
 
     /// Extends the context with `x : τ`, shadowing any existing binding.
     pub fn extend(&self, x: Var, ty: Typ) -> Ctx {
-        let mut map = (*self.map).clone();
-        map.insert(x, ty);
-        Ctx { map: Arc::new(map) }
+        let mut added = false;
+        let root = insert(&self.root, Arc::new((x, ty)), &mut added);
+        Ctx {
+            root: Some(root),
+            len: self.len + usize::from(added),
+        }
     }
 
-    /// Iterates over bindings in variable order.
+    /// Iterates over bindings in variable order. A shadowed binding is not
+    /// visited.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Typ)> {
-        self.map.iter()
+        let mut iter = Iter {
+            stack: Vec::with_capacity(usize::from(height(&self.root))),
+        };
+        iter.descend(self.root.as_deref());
+        iter
     }
 
-    /// The variables bound in this context.
+    /// The variables bound in this context, in order.
     pub fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.map.keys()
+        self.iter().map(|(x, _)| x)
     }
 
     /// The number of bindings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the context is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
+    }
+}
+
+/// In-order traversal with an explicit stack of the nodes whose left
+/// subtrees are done.
+struct Iter<'a> {
+    stack: Vec<&'a Node>,
+}
+
+impl<'a> Iter<'a> {
+    fn descend(&mut self, mut cur: Option<&'a Node>) {
+        while let Some(n) = cur {
+            self.stack.push(n);
+            cur = n.left.as_deref();
+        }
+    }
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a Var, &'a Typ);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let n = self.stack.pop()?;
+        self.descend(n.right.as_deref());
+        Some((&n.binding.0, &n.binding.1))
     }
 }
 
 impl PartialEq for Ctx {
     fn eq(&self, other: &Ctx) -> bool {
-        self.map == other.map
+        let same_root = match (&self.root, &other.root) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        same_root || (self.len == other.len && self.iter().eq(other.iter()))
+    }
+}
+
+impl fmt::Debug for Ctx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -487,6 +622,42 @@ fn case_arm_typs<'a>(
 mod tests {
     use super::*;
     use crate::build::*;
+
+    /// Checks the AVL invariants below `t` and returns its height.
+    fn check_balanced(t: &Tree) -> u8 {
+        let Some(n) = t else { return 0 };
+        let (hl, hr) = (check_balanced(&n.left), check_balanced(&n.right));
+        assert!(hl.abs_diff(hr) <= 1, "unbalanced at {}", n.binding.0);
+        assert_eq!(n.height, 1 + hl.max(hr), "stale height at {}", n.binding.0);
+        n.height
+    }
+
+    #[test]
+    fn ctx_stays_balanced_and_shares_unchanged_subtrees() {
+        // Ascending names, the worst insertion order for an unbalanced tree
+        // (and the order a chain of `def x1 ... def xn` binds them in).
+        let mut ctx = Ctx::empty();
+        for i in 0..1000 {
+            ctx = ctx.extend(Var::new(format!("x{i:04}")), Typ::Int);
+        }
+        let height = check_balanced(&ctx.root);
+        // An AVL tree over n nodes is at most 1.44 log2(n + 2) high.
+        assert!(height <= 15, "height {height} for 1000 bindings");
+        let shadowed = ctx.extend(Var::new("x0500"), Typ::Bool);
+        check_balanced(&shadowed.root);
+        assert_eq!(shadowed.len(), 1000);
+        let (old, new) = (ctx.root.as_deref(), shadowed.root.as_deref());
+        let (old, new) = (old.expect("non-empty"), new.expect("non-empty"));
+        // The path to the new binding is copied; at least one of the root's
+        // subtrees is not on it and is shared.
+        let shared = |a: &Tree, b: &Tree| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shared(&old.left, &new.left) || shared(&old.right, &new.right));
+        assert_eq!(ctx.get(&Var::new("x0500")), Some(&Typ::Int));
+        assert_eq!(shadowed.get(&Var::new("x0500")), Some(&Typ::Bool));
+    }
 
     fn option_int() -> Typ {
         Typ::sum([

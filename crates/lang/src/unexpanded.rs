@@ -421,6 +421,105 @@ impl UExp {
         self.visit(&mut |_| n += 1);
         n
     }
+
+    /// Whether `self` and `other` have the same *skeleton*: they are equal
+    /// except, possibly, in livelit models. Everything the cc-expansion
+    /// depends on (code, splices, types, hole names) must agree. Floats
+    /// compare by bit pattern, so `0.0` and `-0.0` differ and a NaN equals
+    /// itself.
+    ///
+    /// Walks both trees in lockstep with an explicit stack, stopping at the
+    /// first difference.
+    pub fn same_skeleton(&self, other: &UExp) -> bool {
+        use UExp::*;
+        let mut pending = vec![(self, other)];
+        while let Some((a, b)) = pending.pop() {
+            let same = match (a, b) {
+                (Var(x), Var(y)) => x == y,
+                (Lam(x, t, e), Lam(y, s, f)) | (Fix(x, t, e), Fix(y, s, f)) => {
+                    pending.push((e, f));
+                    x == y && t == s
+                }
+                (Ap(a1, a2), Ap(b1, b2)) | (Cons(a1, a2), Cons(b1, b2)) => {
+                    pending.extend([(&**a1, &**b1), (a2, b2)]);
+                    true
+                }
+                (Let(x, t, a1, a2), Let(y, s, b1, b2)) => {
+                    pending.extend([(&**a1, &**b1), (a2, b2)]);
+                    x == y && t == s
+                }
+                (Int(m), Int(n)) => m == n,
+                (Float(x), Float(y)) => x.to_bits() == y.to_bits(),
+                (Bool(p), Bool(q)) => p == q,
+                (Str(s), Str(t)) => s == t,
+                (Unit, Unit) => true,
+                (Bin(o, a1, a2), Bin(p, b1, b2)) => {
+                    pending.extend([(&**a1, &**b1), (a2, b2)]);
+                    o == p
+                }
+                (If(a1, a2, a3), If(b1, b2, b3)) => {
+                    pending.extend([(&**a1, &**b1), (a2, b2), (a3, b3)]);
+                    true
+                }
+                (Tuple(fs), Tuple(gs)) => {
+                    pending.extend(fs.iter().zip(gs).map(|((_, e), (_, f))| (e, f)));
+                    fs.len() == gs.len() && fs.iter().zip(gs).all(|((l, _), (m, _))| l == m)
+                }
+                (Proj(e, l), Proj(f, m)) => {
+                    pending.push((e, f));
+                    l == m
+                }
+                (Inj(t, l, e), Inj(s, m, f)) => {
+                    pending.push((e, f));
+                    t == s && l == m
+                }
+                (Case(e, arms), Case(f, brms)) => {
+                    pending.push((e, f));
+                    pending.extend(arms.iter().zip(brms).map(|(a, b)| (&a.body, &b.body)));
+                    arms.len() == brms.len()
+                        && arms
+                            .iter()
+                            .zip(brms)
+                            .all(|(a, b)| a.label == b.label && a.var == b.var)
+                }
+                (Nil(t), Nil(s)) => t == s,
+                (ListCase(a1, a2, h, t, a3), ListCase(b1, b2, g, s, b3)) => {
+                    pending.extend([(&**a1, &**b1), (a2, b2), (a3, b3)]);
+                    h == g && t == s
+                }
+                (Roll(t, e), Roll(s, f)) | (Asc(e, t), Asc(f, s)) => {
+                    pending.push((e, f));
+                    t == s
+                }
+                (Unroll(e), Unroll(f)) => {
+                    pending.push((e, f));
+                    true
+                }
+                (EmptyHole(u), EmptyHole(v)) => u == v,
+                (NonEmptyHole(u, e), NonEmptyHole(v, f)) => {
+                    pending.push((e, f));
+                    u == v
+                }
+                (Livelit(a), Livelit(b)) => {
+                    pending.extend(
+                        a.splices
+                            .iter()
+                            .zip(&b.splices)
+                            .map(|(p, q)| (&p.exp, &q.exp)),
+                    );
+                    a.name == b.name
+                        && a.hole == b.hole
+                        && a.splices.len() == b.splices.len()
+                        && a.splices.iter().zip(&b.splices).all(|(p, q)| p.ty == q.ty)
+                }
+                _ => false,
+            };
+            if !same {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 fn collect_livelits<'a>(e: &'a UExp, out: &mut Vec<&'a LivelitAp>) {
@@ -559,5 +658,63 @@ mod tests {
             }
             other => panic!("expected livelit, got {other:?}"),
         }
+    }
+
+    /// `def x : Int = <def> ;; x + $color⟨model; 57, 107⟩`.
+    fn def_around_color(def: i64, model: IExp) -> UExp {
+        let mut ap = color_invocation();
+        if let UExp::Livelit(ap) = &mut ap {
+            ap.model = model;
+        }
+        UExp::Let(
+            Var::new("x"),
+            Some(Typ::Int),
+            Box::new(UExp::Int(def)),
+            Box::new(UExp::Bin(
+                crate::ops::BinOp::Add,
+                Box::new(UExp::Var(Var::new("x"))),
+                Box::new(ap),
+            )),
+        )
+    }
+
+    #[test]
+    fn same_skeleton_ignores_models_only() {
+        let base = def_around_color(1, IExp::Unit);
+        assert!(base.same_skeleton(&base.clone()));
+        assert!(base.same_skeleton(&def_around_color(1, IExp::Int(7))));
+        // A `def` change.
+        assert!(!base.same_skeleton(&def_around_color(2, IExp::Unit)));
+        // A splice change.
+        let spliced = base.map(&mut |e| match e {
+            UExp::Int(107) => UExp::Int(108),
+            other => other,
+        });
+        assert!(!base.same_skeleton(&spliced));
+        // A splice type change.
+        let mut retyped = color_invocation();
+        if let UExp::Livelit(ap) = &mut retyped {
+            ap.splices[1].ty = Typ::Float;
+        }
+        assert!(!color_invocation().same_skeleton(&retyped));
+        // A type annotation change.
+        let annotated = match base.clone() {
+            UExp::Let(x, _, d, b) => UExp::Let(x, None, d, b),
+            other => other,
+        };
+        assert!(!base.same_skeleton(&annotated));
+        // A different shape.
+        assert!(!base.same_skeleton(&UExp::Int(1)));
+    }
+
+    #[test]
+    fn same_skeleton_compares_floats_by_bits() {
+        let zero = UExp::Float(0.0);
+        assert!(zero.same_skeleton(&UExp::Float(0.0)));
+        assert!(!zero.same_skeleton(&UExp::Float(-0.0)));
+        let nan = UExp::Float(f64::NAN);
+        assert!(nan.same_skeleton(&UExp::Float(f64::NAN)));
+        let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        assert!(!nan.same_skeleton(&UExp::Float(other_nan)));
     }
 }

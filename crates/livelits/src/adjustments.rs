@@ -9,6 +9,8 @@
 //! [`crate::image::framework_source`], bound through the livelit's
 //! definition-site context (Sec. 3.2.5).
 
+use std::sync::OnceLock;
+
 use hazel_lang::build;
 use hazel_lang::external::EExp;
 use hazel_lang::ident::{Label, LivelitName};
@@ -97,20 +99,26 @@ impl Livelit for BasicAdjustmentsLivelit {
     fn context(&self) -> Vec<ContextBinding> {
         // The image-processing framework plus the photo loader, bound at
         // the definition site so the expansion is context-independent.
-        let mut out = Vec::new();
-        for (name, ty_src, def_src) in framework_source() {
-            out.push(ContextBinding::new(
-                name,
-                parse_typ(ty_src).expect("framework type parses"),
-                parse_eexp(def_src).expect("framework def parses"),
-            ));
-        }
-        out.push(ContextBinding::new(
-            "load_image",
-            Typ::arrow(Typ::Str, img_typ()),
-            load_image_def(),
-        ));
-        out
+        // Built once per process: the bindings are constants.
+        static CONTEXT: OnceLock<Vec<ContextBinding>> = OnceLock::new();
+        CONTEXT
+            .get_or_init(|| {
+                let mut out = Vec::new();
+                for (name, ty_src, def_src) in framework_source() {
+                    out.push(ContextBinding::new(
+                        name,
+                        parse_typ(ty_src).expect("framework type parses"),
+                        parse_eexp(def_src).expect("framework def parses"),
+                    ));
+                }
+                out.push(ContextBinding::new(
+                    "load_image",
+                    Typ::arrow(Typ::Str, img_typ()),
+                    load_image_def(),
+                ));
+                out
+            })
+            .clone()
     }
 
     fn init(&self, _params: &[SpliceRef], ctx: &mut UpdateCtx<'_>) -> Result<Model, CmdError> {
